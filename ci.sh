@@ -57,6 +57,12 @@ cargo test -q -p apc-serve
 cargo test -q --test staged_determinism -- adaptive_serving
 cargo test -q -p apc-comm --test session_stress -- stager_death_mid_degraded_reply
 
+echo "==> repo benchmark smoke suite (perfbench: every workload, recorded digests)"
+# perfbench is a cargo package of its own (see README "Benchmark"), so
+# the workspace runs above do not reach it. Its smoke suite runs every
+# workload at tiny geometry and checks the recorded output digests.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> rustdoc lint (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

@@ -34,6 +34,9 @@ fn main() {
     experiments::fig11::run(&ctx, &scale);
     experiments::fig12::run(&ctx, &scale);
     experiments::fig13::run(&ctx, &scale);
+    // The replay pool and adaptive serving build their own runs.
+    experiments::fig14::run(&scale);
+    experiments::fig15::run(&scale);
     experiments::ablations::sort_strategy(&ctx, &scale);
     experiments::ablations::slow_network(&ctx, &scale);
     experiments::ablations::controller_variants(&ctx, &scale);

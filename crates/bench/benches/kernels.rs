@@ -264,13 +264,15 @@ fn bench_staged_vs_sync(rec: &mut Recorder) {
     let staged_cfg = sync_cfg.with_staged(params);
     let mut staged_visible = 0.0;
     let t_staged = time_median(3, || {
-        let run = apc_core::run_staged_prepared(
+        let mut session =
+            Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session();
+        let run = apc_core::run_staged_in_session(
+            &mut session,
             dataset.decomp(),
             dataset.coords(),
             &staged_cfg,
             &iters,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
+            &|it, rank| dataset.rank_blocks(it, rank),
         );
         staged_visible = run.mean_sim_visible();
     });

@@ -1,4 +1,4 @@
-//! Standalone harness for fig07 — see DESIGN.md §4.
+//! Standalone harness for fig07 — see README "Paper figures → binaries".
 
 use apc_bench::experiments::{self, Ctx};
 use apc_bench::Scale;

@@ -9,8 +9,8 @@
 //!   configuration sweeps over one set of rank threads, CSV output under
 //!   `target/experiments/`, ASCII tables;
 //! * [`experiments`] — one module per paper table/figure plus the ablations
-//!   listed in DESIGN.md §4. Each exposes `run(&Scale)`, prints the
-//!   series/rows the paper reports, and writes CSV.
+//!   (README "Paper figures → binaries"). Each exposes `run(&Scale)`,
+//!   prints the series/rows the paper reports, and writes CSV.
 //! * [`perf`] — the perf-trajectory regression gate: parses
 //!   `bench_kernels.json` runs and diffs them against the committed
 //!   `bench_baseline.json` with a tolerance band (driven by the

@@ -14,13 +14,33 @@
 
 use apc_bench::harness::Prepared;
 use apc_cm1::ReflectivityDataset;
-use apc_comm::NetModel;
-use apc_core::{run_experiment_on, ExecPolicy, IterationReport, PipelineConfig, Redistribution};
+use apc_comm::{NetModel, Runtime};
+use apc_core::{run_sweep_in_session, ExecPolicy, IterationReport, PipelineConfig, Redistribution};
 
 fn tiny_prepared(nranks: usize, seed: u64, n_iters: usize) -> Prepared {
     let dataset = ReflectivityDataset::tiny(nranks, seed).expect("tiny decomposition");
     let iters = dataset.sample_iterations(n_iters);
     Prepared::from_dataset(dataset, iters, ExecPolicy::Serial, NetModel::blue_waters())
+}
+
+/// The spawn-per-run reference: one configuration in a fresh session on
+/// `net`, no shared cache, blocks straight from the dataset.
+fn spawn_per_run(
+    dataset: &ReflectivityDataset,
+    config: &PipelineConfig,
+    iters: &[usize],
+    net: NetModel,
+) -> Vec<IterationReport> {
+    let mut session = Runtime::new(dataset.decomp().nranks(), net).session();
+    run_sweep_in_session(
+        &mut session,
+        dataset.decomp(),
+        dataset.coords(),
+        std::slice::from_ref(config),
+        iters,
+        &|it, rank| dataset.rank_blocks(it, rank),
+    )
+    .swap_remove(0)
 }
 
 fn assert_bitwise_equal(a: &[IterationReport], b: &[IterationReport], what: &str) {
@@ -72,12 +92,7 @@ fn fig07_style_sweep_is_byte_identical_to_spawn_per_run() {
     // Spawn-per-run reference: a fresh runtime per configuration, no
     // shared cache, straight from the dataset.
     for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment_on(
-            &prepared.dataset,
-            config.clone(),
-            &iters,
-            NetModel::blue_waters(),
-        );
+        let reference = spawn_per_run(&prepared.dataset, config, &iters, NetModel::blue_waters());
         assert_bitwise_equal(series, &reference, "sweep vs spawn-per-run");
     }
 
@@ -115,12 +130,7 @@ fn sweeping_two_isovalues_produces_different_triangle_counts() {
     );
     // Both match their uncached spawn-per-run references exactly.
     for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment_on(
-            &prepared.dataset,
-            config.clone(),
-            &iters,
-            NetModel::blue_waters(),
-        );
+        let reference = spawn_per_run(&prepared.dataset, config, &iters, NetModel::blue_waters());
         assert_bitwise_equal(series, &reference, "isovalue sweep vs reference");
     }
 }
@@ -149,12 +159,7 @@ fn heterogeneous_sweep_matches_spawn_per_run() {
     ];
     let swept = prepared.run_sweep(&configs, &iters);
     for (config, series) in configs.iter().zip(&swept) {
-        let reference = run_experiment_on(
-            &prepared.dataset,
-            config.clone(),
-            &iters,
-            NetModel::blue_waters(),
-        );
+        let reference = spawn_per_run(&prepared.dataset, config, &iters, NetModel::blue_waters());
         assert_bitwise_equal(series, &reference, "heterogeneous sweep");
     }
 }
@@ -190,7 +195,7 @@ fn run_on_matches_driver_for_both_paths() {
         .with_redistribution(Redistribution::RandomShuffle { seed: 1 });
     for net in [NetModel::blue_waters(), NetModel::gigabit_ethernet()] {
         let via_prepared = prepared.run_on(cfg.clone(), &iters, net);
-        let reference = run_experiment_on(&prepared.dataset, cfg.clone(), &iters, net);
+        let reference = spawn_per_run(&prepared.dataset, &cfg, &iters, net);
         assert_bitwise_equal(&via_prepared, &reference, "run_on");
     }
 }

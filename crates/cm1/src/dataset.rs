@@ -4,9 +4,9 @@
 //! Mirrors the paper's setup (§V-A): a 572-iteration timeline of a
 //! 2200×2200×380 reflectivity field decomposed over 64 or 400 ranks with
 //! 55×55×38-point blocks (16,000 blocks). Our default experiments run the
-//! 1:5-per-axis scale — 440×440×76 with 11×11×19 blocks, 6,400 blocks —
-//! documented in DESIGN.md §2; the full-size decomposition is available for
-//! anyone with the memory budget.
+//! 1:5-per-axis scale — 440×440×76 with 11×11×19 blocks, 6,400 blocks;
+//! the full-size decomposition is available for anyone with the memory
+//! budget.
 
 use apc_grid::{
     Block, BlockId, Dims3, DomainDecomp, Field3, GridError, ProcGrid, RectilinearCoords,

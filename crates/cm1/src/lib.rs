@@ -3,7 +3,7 @@
 //! The paper replays a 572-iteration reflectivity dataset produced by a
 //! 3-day CM1 (Bryan & Fritsch 2002) run on Blue Waters. Neither CM1 nor the
 //! dataset is available here, so this crate builds the closest synthetic
-//! equivalent (DESIGN.md §2):
+//! equivalent (README "Crate map"):
 //!
 //! * [`noise`] — deterministic hash-based 3D value noise / fBm, the
 //!   turbulence texture of the storm;
@@ -14,14 +14,11 @@
 //!   snow / hail mixing ratios and the radar-reflectivity derivation
 //!   ("derives from a calculation based on cloud rain, hail, and snow
 //!   microphysical variables", paper §II-A);
-//! * [`solver`] — a small semi-Lagrangian advection–diffusion solver that
-//!   stands in for the simulation's compute phase;
 //! * [`dataset`] — the replayable iteration sequence the experiments feed
 //!   to the pipeline, at the paper's two scales (64 and 400 ranks);
 //! * [`store`] — persistence through the `apc-store` chunked dataset
 //!   ([`write_dataset`] / [`open_dataset`]): write a time series once,
-//!   replay it forever, byte-identically under a lossless codec. The
-//!   older flat per-iteration file format lives on in [`io`].
+//!   replay it forever, byte-identically under a lossless codec.
 //!
 //! The property the experiments depend on — and which [`storm`]'s tests
 //! pin — is *spatial locality*: the storm covers a small fraction of the
@@ -30,17 +27,13 @@
 
 pub mod dataset;
 pub mod hydro;
-pub mod io;
 pub mod noise;
-pub mod solver;
 pub mod store;
 pub mod storm;
 
 pub use dataset::ReflectivityDataset;
 pub use hydro::{reflectivity_from_hydrometeors, reflectivity_from_hydrometeors_at, Hydrometeors};
-pub use io::StoredDataset;
 pub use noise::{fbm3, value_noise3};
-pub use solver::AdvectionSolver;
 pub use store::{
     open_dataset, open_dataset_cached, write_dataset, write_dataset_sharded,
     write_dataset_sharded_to, write_dataset_to, StoredTimeSeries,

@@ -170,28 +170,6 @@ impl StormModel {
         ((env - Self::CONDENSATE_FLOOR).max(0.0) / (1.0 - Self::CONDENSATE_FLOOR)).clamp(0.0, 1.0)
     }
 
-    /// Wind field (normalized units/iteration) at `p`, time `τ`: steering
-    /// flow plus mesocyclone rotation plus the updraft core. Used by the
-    /// advection solver and the streamline visualization scenario the paper
-    /// mentions (§IV-B).
-    pub fn wind(&self, p: [f32; 3], tau: f32) -> [f32; 3] {
-        let [x, y, z] = p;
-        let c = self.center(tau);
-        let dx = x - c[0];
-        let dy = y - c[1];
-        let r2 = dx * dx + dy * dy;
-        let sh = self.sigma_h(z);
-        let g = (-r2 / (2.0 * (1.8 * sh) * (1.8 * sh))).exp();
-        let omega = 5.0 * self.intensity(tau);
-        // Steering flow matches the storm-center drift per iteration.
-        let steering = [0.30 * 0.001, 0.24 * 0.001, 0.0];
-        [
-            steering[0] - omega * dy * g * 0.01,
-            steering[1] + omega * dx * g * 0.01,
-            0.035 * self.intensity(tau) * g * (std::f32::consts::PI * z).sin(),
-        ]
-    }
-
     /// Normalize grid coordinates to `[0,1]³` using the physical bounds.
     fn normalizer(coords: &RectilinearCoords) -> impl Fn(usize, usize, usize) -> [f32; 3] + '_ {
         let (lo, hi) = coords.bounds();
@@ -427,19 +405,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn wind_rotates_around_center() {
-        let m = StormModel::default();
-        let tau = 0.5;
-        let c = m.center(tau);
-        // East of center the rotational component points north (+v).
-        let east = m.wind([c[0] + 0.03, c[1], 0.3], tau);
-        let west = m.wind([c[0] - 0.03, c[1], 0.3], tau);
-        assert!(east[1] > west[1], "cyclonic rotation expected");
-        // Updraft at core.
-        let updraft = m.wind([c[0], c[1], 0.5], tau);
-        assert!(updraft[2] > 0.0);
     }
 }

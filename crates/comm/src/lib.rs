@@ -2,8 +2,7 @@
 //!
 //! The paper runs its pipeline over Cray MPI on Blue Waters at 64 and 400
 //! ranks. The Rust MPI ecosystem is thin and no 400-core allocation exists
-//! here, so this crate substitutes a *simulated* communicator (see
-//! DESIGN.md §2):
+//! here, so this crate substitutes a *simulated* communicator:
 //!
 //! * **Ranks are OS threads.** [`Runtime::run`] spawns one thread per rank;
 //!   each receives a [`Rank`] handle exposing point-to-point messaging

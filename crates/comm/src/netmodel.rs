@@ -18,7 +18,7 @@ pub struct NetModel {
     pub send_overhead: f64,
     /// Multiplier applied to byte counts before the bandwidth/ingest terms.
     /// Experiments that run a 1:5-per-axis scaled dataset set this to 125
-    /// so the virtual network moves full-scale volumes (DESIGN.md §2) —
+    /// so the virtual network moves full-scale volumes —
     /// the communication analogue of the render model's per-triangle
     /// calibration.
     pub byte_scale: f64,

@@ -113,7 +113,7 @@ pub enum Redistribution {
 }
 
 /// How the global score sort is implemented (§IV-C; sample sort is the
-/// ablation of DESIGN.md §4).
+/// sort-strategy ablation in `apc-bench`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SortStrategy {
     #[default]

@@ -4,10 +4,10 @@
 //!
 //! Two execution shapes:
 //!
-//! * **one-shot** ([`run_experiment`] family) — spawn the rank threads,
-//!   run one configuration, join;
-//! * **sweep** ([`run_sweep_prepared`] / [`run_sweep_in_session`]) — spawn
-//!   the rank threads once ([`apc_comm::Session`]) and replay *many*
+//! * **one-shot** ([`run_experiment`]) — spawn the rank threads, run one
+//!   configuration, join;
+//! * **sweep** ([`run_sweep_in_session`]) — spawn the rank threads once
+//!   ([`apc_comm::Session`]) and replay *many*
 //!   configurations over them, which is how the paper's Figs 6–11 explore
 //!   the parameter space over one stored dataset. Virtual time is counted,
 //!   not measured, so the two shapes produce byte-identical
@@ -23,89 +23,42 @@ use crate::pipeline::Pipeline;
 use crate::report::IterationReport;
 
 /// Run `config` over the given dataset iterations on the dataset's own rank
-/// count, with a Blue Waters-like network. Returns one report per
-/// iteration (identical across ranks; rank 0's copy).
+/// count, with a Blue Waters-like network, in a session of its own.
+/// Returns one report per iteration (identical across ranks; rank 0's
+/// copy). Sweeps and other network models go through
+/// [`run_sweep_in_session`] or [`crate::Prepared`].
 pub fn run_experiment(
     dataset: &ReflectivityDataset,
     config: PipelineConfig,
     iterations: &[usize],
 ) -> Vec<IterationReport> {
-    run_experiment_on(dataset, config, iterations, NetModel::blue_waters())
-}
-
-/// [`run_experiment`] with an explicit network model (used by the
-/// low-network-performance ablation from the paper's §VI outlook).
-pub fn run_experiment_on(
-    dataset: &ReflectivityDataset,
-    config: PipelineConfig,
-    iterations: &[usize],
-    net: NetModel,
-) -> Vec<IterationReport> {
-    run_experiment_prepared(
+    let mut session = Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session();
+    run_sweep_in_session(
+        &mut session,
         dataset.decomp(),
         dataset.coords(),
-        config,
-        iterations,
-        net,
-        |it, rank| dataset.rank_blocks(it, rank),
-    )
-}
-
-/// Lowest-level driver: the caller supplies the per-`(iteration, rank)`
-/// block input. Parameter sweeps use this with pre-generated blocks so the
-/// synthetic simulation runs once instead of once per configuration (the
-/// virtual-time results are identical either way).
-///
-/// The driver spawns one OS thread per rank, so it clamps the config's
-/// [`crate::ExecPolicy`] to the per-rank thread budget
-/// (`ranks × threads ≤ cores`) before entering the pipeline. Virtual-time
-/// output is unaffected — the clamp only protects wall-clock throughput.
-pub fn run_experiment_prepared<F>(
-    decomp: &apc_grid::DomainDecomp,
-    coords: &apc_grid::RectilinearCoords,
-    config: PipelineConfig,
-    iterations: &[usize],
-    net: NetModel,
-    blocks: F,
-) -> Vec<IterationReport>
-where
-    F: Fn(usize, usize) -> Vec<apc_grid::Block> + Sync,
-{
-    run_sweep_prepared(
-        decomp,
-        coords,
         std::slice::from_ref(&config),
         iterations,
-        net,
-        blocks,
+        &|it, rank| dataset.rank_blocks(it, rank),
     )
     .swap_remove(0)
 }
 
 /// The sweep engine: replay every configuration in `configs` over the same
-/// prepared input through **one** rank session — the rank threads are
-/// spawned once, not once per configuration. Returns one report series per
-/// configuration, in order. Byte-identical to running each configuration
-/// through [`run_experiment_prepared`] separately.
-pub fn run_sweep_prepared<F>(
-    decomp: &apc_grid::DomainDecomp,
-    coords: &apc_grid::RectilinearCoords,
-    configs: &[PipelineConfig],
-    iterations: &[usize],
-    net: NetModel,
-    blocks: F,
-) -> Vec<Vec<IterationReport>>
-where
-    F: Fn(usize, usize) -> Vec<apc_grid::Block> + Sync,
-{
-    let mut session = Runtime::new(decomp.nranks(), net).session();
-    run_sweep_in_session(&mut session, decomp, coords, configs, iterations, &blocks)
-}
-
-/// [`run_sweep_prepared`] over a caller-owned [`Session`], so several
-/// sweeps (e.g. consecutive figures of the paper) can share one persistent
-/// rank pool. The session's rank count must match the decomposition; its
-/// network model is whatever the session was created with.
+/// input through a caller-owned [`Session`] — the rank threads are spawned
+/// once, not once per configuration, and several sweeps (e.g. consecutive
+/// figures of the paper) can share one persistent rank pool. Returns one
+/// report series per configuration, in order, byte-identical to running
+/// each configuration in a fresh session. The session's rank count must
+/// match the decomposition; its network model is whatever the session was
+/// created with.
+///
+/// The caller supplies the per-`(iteration, rank)` block input, so
+/// parameter sweeps can pre-generate blocks and run the synthetic
+/// simulation once instead of once per configuration. Each config's
+/// [`crate::ExecPolicy`] is clamped to the per-rank thread budget
+/// (`ranks × threads ≤ cores`); virtual-time output is unaffected — the
+/// clamp only protects wall-clock throughput.
 pub fn run_sweep_in_session<F>(
     session: &mut Session,
     decomp: &apc_grid::DomainDecomp,
@@ -160,6 +113,25 @@ where
 mod tests {
     use super::*;
 
+    /// One configuration in a fresh session on `net`.
+    fn run_on(
+        dataset: &ReflectivityDataset,
+        config: PipelineConfig,
+        iterations: &[usize],
+        net: NetModel,
+    ) -> Vec<IterationReport> {
+        let mut session = Runtime::new(dataset.decomp().nranks(), net).session();
+        run_sweep_in_session(
+            &mut session,
+            dataset.decomp(),
+            dataset.coords(),
+            std::slice::from_ref(&config),
+            iterations,
+            &|it, rank| dataset.rank_blocks(it, rank),
+        )
+        .swap_remove(0)
+    }
+
     #[test]
     fn driver_runs_multiple_iterations() {
         let dataset = ReflectivityDataset::tiny(4, 11).unwrap();
@@ -186,13 +158,15 @@ mod tests {
                     .with_fixed_percent(p)
             })
             .collect();
-        let swept = run_sweep_prepared(
+        let mut session =
+            Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session();
+        let swept = run_sweep_in_session(
+            &mut session,
             dataset.decomp(),
             dataset.coords(),
             &configs,
             &iters,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
+            &|it, rank| dataset.rank_blocks(it, rank),
         );
         assert_eq!(swept.len(), configs.len());
         for (cfg, series) in configs.iter().zip(&swept) {
@@ -208,8 +182,8 @@ mod tests {
         let cfg = PipelineConfig::default()
             .deterministic()
             .with_redistribution(crate::Redistribution::RandomShuffle { seed: 1 });
-        let fast = run_experiment_on(&dataset, cfg.clone(), &iters, NetModel::blue_waters());
-        let slow = run_experiment_on(&dataset, cfg, &iters, NetModel::gigabit_ethernet());
+        let fast = run_on(&dataset, cfg.clone(), &iters, NetModel::blue_waters());
+        let slow = run_on(&dataset, cfg, &iters, NetModel::gigabit_ethernet());
         assert!(
             slow[0].t_redistribute > 10.0 * fast[0].t_redistribute,
             "gigabit {} vs gemini {}",

@@ -19,7 +19,7 @@
 //! [`Pipeline`] that chains them inside a rank, and an experiment
 //! [`driver`] that replays a [`apc_cm1::ReflectivityDataset`] through a
 //! virtual-time [`apc_comm::Runtime`]. For parameter sweeps the driver
-//! also offers a **sweep engine** ([`run_sweep_prepared`]): many
+//! also offers a **sweep engine** ([`run_sweep_in_session`]): many
 //! [`PipelineConfig`]s replayed over one persistent rank session
 //! ([`apc_comm::Session`]), byte-identical to running each configuration
 //! one-shot, minus the per-configuration thread-spawn cost. [`Prepared`]
@@ -73,10 +73,7 @@ pub use apc_serve::{
 pub use apc_stage::BackpressurePolicy;
 pub use config::{InSituMode, PipelineConfig, Redistribution, SortStrategy, StagedParams};
 pub use controller::{adapt_percent, BudgetController};
-pub use driver::{
-    run_experiment, run_experiment_on, run_experiment_prepared, run_sweep_in_session,
-    run_sweep_prepared,
-};
+pub use driver::{run_experiment, run_sweep_in_session};
 pub use pipeline::{Pipeline, StatsCache};
 pub use prepared::{spaced_subset, Prepared};
 pub use replay_serving::{
@@ -86,8 +83,8 @@ pub use replay_serving::{
 pub use report::IterationReport;
 pub use selection::{reduction_set, ScoredBlock};
 pub use serving::{
-    run_staged_serving_in_session, run_staged_serving_prepared, FidelityMix, RequestLog,
-    ServeFault, ServeParams, ServerStats, ServingRun,
+    run_staged_serving_in_session, FidelityMix, RequestLog, ServeFault, ServeParams, ServerStats,
+    ServingRun,
 };
-pub use staged::{run_staged_in_session, run_staged_prepared, StagedFrame, StagedRun};
+pub use staged::{run_staged_in_session, StagedFrame, StagedRun};
 pub use stats::percentile;

@@ -26,7 +26,7 @@ use apc_grid::Block;
 use apc_par::ExecPolicy;
 
 use crate::config::PipelineConfig;
-use crate::driver::{run_experiment_prepared, run_sweep_in_session};
+use crate::driver::run_sweep_in_session;
 use crate::pipeline::StatsCache;
 use crate::report::IterationReport;
 use crate::serving::{run_staged_serving_in_session, ServeParams, ServingRun};
@@ -249,7 +249,7 @@ impl Prepared {
     /// Like [`Prepared::run`] with an explicit network model. A model equal
     /// to the prepared one reuses the session; a different model needs its
     /// own runtime (the network is baked into the session's shared state),
-    /// so those runs fall back to spawn-per-run.
+    /// so those runs fall back to a fresh session.
     pub fn run_on(
         &self,
         config: PipelineConfig,
@@ -259,14 +259,16 @@ impl Prepared {
         if net == self.net {
             return self.run(config, iterations);
         }
-        run_experiment_prepared(
+        let mut session = Runtime::new(self.dataset.decomp().nranks(), net).session();
+        run_sweep_in_session(
+            &mut session,
             self.dataset.decomp(),
             self.dataset.coords(),
-            self.instrument(config),
+            &[self.instrument(config)],
             iterations,
-            net,
-            |it, rank| self.prepared_blocks(it, rank),
+            &|it, rank| self.prepared_blocks(it, rank),
         )
+        .swap_remove(0)
     }
 
     /// Inject the shared cache and execution policy into a configuration.

@@ -8,7 +8,7 @@
 //!
 //! * every rendered frame is **persisted** through the config's
 //!   [`FrameSink`] and seeded into the stager's byte-bounded LRU
-//!   [`FrameCache`];
+//!   [`ChunkCache`] keyed by [`FrameKey`];
 //! * after rendering frame `k`, the stager **serves its clients** up to
 //!   frame `k`'s request quota over `apc_comm`'s request/reply endpoints.
 //!   Virtual read charges are cache-aware: a cache hit costs zero, a miss
@@ -40,11 +40,11 @@ use std::collections::VecDeque;
 use apc_comm::{Rank, ServeClient, ServeServer, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_serve::{
-    degrade_stream, Fidelity, Frame, FrameCache, FrameReply, FrameRequest, FrameSink, RunManifest,
+    degrade_stream, Fidelity, Frame, FrameKey, FrameReply, FrameRequest, FrameSink, RunManifest,
     ServePolicy, ServedFrame,
 };
 use apc_stage::{Partition, RankLog, StagedSpec};
-use apc_store::CacheStats;
+use apc_store::{CacheStats, ChunkCache};
 
 use crate::config::{InSituMode, PipelineConfig};
 use crate::controller::BudgetController;
@@ -445,7 +445,7 @@ pub struct StagerServe<'a> {
     sink: &'a FrameSink,
     iterations: &'a [usize],
     requests_per_client: usize,
-    cache: FrameCache,
+    cache: ChunkCache<FrameKey>,
     clients: Vec<ClientConn>,
     stats: ServerStats,
     /// Algorithm 1 over reply latency, when a budget is set.
@@ -489,7 +489,7 @@ impl<'a> StagerServe<'a> {
             sink,
             iterations,
             requests_per_client: serve.requests_per_client,
-            cache: FrameCache::new(serve.cache_bytes),
+            cache: ChunkCache::new(serve.cache_bytes),
             clients: client_ranks
                 .into_iter()
                 .map(|r| ClientConn {
@@ -972,41 +972,13 @@ where
     }
 }
 
-/// One-shot serving run (spawns its own session) — the serving
-/// counterpart of [`crate::staged::run_staged_prepared`], and like it,
-/// runs the config's `ExecPolicy` unclamped so policy-determinism guards
-/// can exercise `Threads(n)` on small hosts.
-pub fn run_staged_serving_prepared<F>(
-    decomp: &DomainDecomp,
-    coords: &RectilinearCoords,
-    config: &PipelineConfig,
-    iterations: &[usize],
-    serve: &ServeParams,
-    net: apc_comm::NetModel,
-    blocks: F,
-) -> ServingRun
-where
-    F: Fn(usize, usize) -> Vec<Block> + Sync,
-{
-    let mut session = apc_comm::Runtime::new(decomp.nranks(), net).session();
-    run_staged_serving_in_session(
-        &mut session,
-        decomp,
-        coords,
-        config,
-        iterations,
-        serve,
-        &blocks,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
     use apc_cm1::ReflectivityDataset;
-    use apc_comm::NetModel;
+    use apc_comm::{NetModel, Runtime};
     use apc_serve::FrameStore;
     use apc_stage::BackpressurePolicy;
     use apc_store::{CodecKind, MemStore, StoreBackend};
@@ -1054,14 +1026,14 @@ mod tests {
             .deterministic()
             .with_fixed_percent(40.0)
             .with_staged(params);
-        let run = run_staged_serving_prepared(
+        let run = run_staged_serving_in_session(
+            &mut Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session(),
             dataset.decomp(),
             dataset.coords(),
             &config,
             &iters,
             &serve,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
+            &|it, rank| dataset.rank_blocks(it, rank),
         );
         (run, backend, iters)
     }
@@ -1178,14 +1150,14 @@ mod tests {
         let config = crate::PipelineConfig::default()
             .deterministic()
             .with_staged(StagedParams::new(2, 2, BackpressurePolicy::Block));
-        let _ = run_staged_serving_prepared(
+        let _ = run_staged_serving_in_session(
+            &mut Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session(),
             dataset.decomp(),
             dataset.coords(),
             &config,
             &iters,
             &ServeParams::new(2, 2, ServePolicy::BestEffort),
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
+            &|it, rank| dataset.rank_blocks(it, rank),
         );
     }
 

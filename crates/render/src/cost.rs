@@ -9,8 +9,8 @@
 //!
 //! multiplied by a seeded log-normal jitter that reproduces "the inherent
 //! variability of the visualization task" the paper keeps pointing at
-//! (§V-D, §V-F). The constants are calibrated (EXPERIMENTS.md) so that on
-//! the default 1:5-scale dataset:
+//! (§V-D, §V-F). The constants are calibrated against the paper's Fig 5/6
+//! so that on the default 1:5-scale dataset:
 //!
 //! * all blocks reduced → ≈1 s (paper: 1 s at both scales — a fixed
 //!   pipeline overhead);
@@ -44,9 +44,9 @@ pub struct RenderCostModel {
 
 impl Default for RenderCostModel {
     fn default() -> Self {
-        // Calibrated against the 1:5-scale dataset (see the probe run in
-        // EXPERIMENTS.md): NONE ≈ 125–170 s on 64 ranks, ≈ 42–52 s on 400
-        // ranks, all-reduced ≈ 1–1.8 s.
+        // Calibrated on the 1:5-scale dataset to the paper's Fig 5/6 bands:
+        // NONE ≈ 125–170 s on 64 ranks, ≈ 42–52 s on 400 ranks,
+        // all-reduced ≈ 1–1.8 s. No test asserts these bands yet.
         Self {
             base: 0.55,
             per_block: 5.0e-4,

@@ -7,7 +7,7 @@
 //! triangulated by a 16-case analysis with no external lookup tables. The
 //! output is crack-free and, like marching cubes, its size is proportional
 //! to the isosurface area crossing the cell — which is what makes per-rank
-//! triangle counts an honest proxy for rendering load (DESIGN.md §2).
+//! triangle counts an honest proxy for rendering load.
 
 use apc_grid::{Block, Dims3, RectilinearCoords};
 use apc_par::{par_map, ExecPolicy, RecommendedConcurrency};

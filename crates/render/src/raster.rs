@@ -151,16 +151,6 @@ impl Framebuffer {
         }
     }
 
-    /// Depth-tested single-pixel write (used by polyline rasterization).
-    pub(crate) fn plot_depth_tested(&mut self, x: usize, y: usize, depth: f32, rgb: [u8; 3]) {
-        debug_assert!(x < self.width && y < self.height);
-        let idx = y * self.width + x;
-        if depth < self.depth[idx] {
-            self.depth[idx] = depth;
-            self.color[idx] = rgb;
-        }
-    }
-
     /// Convert to an image.
     pub fn into_image(self) -> Image {
         let mut img = Image::new(self.width, self.height);

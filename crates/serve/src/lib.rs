@@ -24,10 +24,10 @@
 //!   adaptive serving executor walks under latency pressure (full →
 //!   lossy zfpx re-encode → score-ranked dropping → header-only), plus
 //!   the deterministic re-encode that implements each rung;
-//! * [`FrameCache`] — the byte-bounded LRU hot-frame cache a serving
-//!   stager answers from before falling back to store reads; since PR 8 a
-//!   [`FrameKey`]-typed alias of the generalized
-//!   `apc_store::cache::ChunkCache` every reader shares.
+//! * [`FrameKey`] — the `(iteration, stager)` coordinate of a frame
+//!   within a run; it keys the hot-frame `apc_store::ChunkCache` a
+//!   serving stager answers from before falling back to store reads, and
+//!   the replay pool's routing.
 //!
 //! The crate is deliberately runtime-agnostic: it defines payloads,
 //! persistence and cache arithmetic, all deterministic; the SPMD serving
@@ -46,17 +46,18 @@
 //! assert_eq!(back, frame); // lossless codec: bit-exact replay
 //! ```
 
-pub mod cache;
 pub mod degrade;
 pub mod frame;
 pub mod protocol;
 pub mod store;
 
-pub use cache::{FrameCache, FrameKey};
 pub use degrade::degrade_stream;
 pub use frame::Frame;
 pub use protocol::{Fidelity, FrameReply, FrameRequest, ServePolicy, ServedFrame};
 pub use store::{frame_key, open_run, FrameSink, FrameStore, RunManifest};
+
+/// A frame's coordinate within a run: `(iteration, stager)`.
+pub type FrameKey = (u64, u32);
 
 /// Errors of frame persistence and decoding.
 #[derive(Debug)]

@@ -83,8 +83,8 @@ struct Entry {
 
 /// A deterministic, byte-size-bounded LRU cache.
 ///
-/// Generic over the key (`apc-store` readers use `String` store keys;
-/// `apc-serve` aliases `ChunkCache<(u64, u32)>` as its `FrameCache`).
+/// Generic over the key (`apc-store` readers use `String` store keys; the
+/// serving executor keys frames by `apc_serve::FrameKey`).
 /// All operations are `O(log n)`: the entry map and the sequence-numbered
 /// recency index are both B-trees, and a recency refresh moves exactly one
 /// index entry. A budget of `0` is the legal degenerate cache that stores
@@ -549,8 +549,9 @@ mod tests {
 
     /// Regression (ISSUE 8): re-put of an existing key with a
     /// different-sized payload must re-charge the byte accounting — and
-    /// trigger eviction if the budget is now exceeded. The old FrameCache
-    /// swapped payloads without touching any accounting.
+    /// trigger eviction if the budget is now exceeded. The entry-counted
+    /// frame cache this type replaced swapped payloads without touching
+    /// any accounting.
     #[test]
     fn reput_with_different_size_recharges_and_evicts() {
         let mut cache: ChunkCache<&str> = ChunkCache::new(10);

@@ -7,10 +7,11 @@
 use std::sync::Arc;
 
 use insitu::cm1::ReflectivityDataset;
-use insitu::comm::NetModel;
+use insitu::comm::{NetModel, Runtime};
 use insitu::pipeline::{
-    run_staged_prepared, run_staged_serving_prepared, BackpressurePolicy, ExecPolicy, FrameSink,
-    FrameStore, PipelineConfig, Prepared, ServeParams, ServePolicy, StagedParams,
+    run_staged_in_session, run_staged_serving_in_session, BackpressurePolicy, ExecPolicy,
+    FrameSink, FrameStore, PipelineConfig, Prepared, ServeParams, ServePolicy, ServingRun,
+    StagedParams,
 };
 use insitu::serve::{store::frame_key, ServeError};
 use insitu::store::{CodecKind, DirStore, MemStore, StoreBackend};
@@ -33,15 +34,35 @@ fn persist_run(backend: Arc<dyn StoreBackend>, run_id: &str, codec: CodecKind) -
     let dataset = ReflectivityDataset::tiny(8, 42).unwrap();
     let iters = dataset.sample_iterations(3);
     let sink = FrameSink::new(backend, run_id, codec);
-    let _ = run_staged_prepared(
+    let mut session = Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session();
+    let _ = run_staged_in_session(
+        &mut session,
         dataset.decomp(),
         dataset.coords(),
         &staged_config(sink),
         &iters,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
+        &|it, rank| dataset.rank_blocks(it, rank),
     );
     iters
+}
+
+/// One serving run of `config` in a fresh session of the dataset's size.
+fn serve_fresh(
+    dataset: &ReflectivityDataset,
+    config: &PipelineConfig,
+    iters: &[usize],
+    serve: &ServeParams,
+) -> ServingRun {
+    let mut session = Runtime::new(dataset.decomp().nranks(), NetModel::blue_waters()).session();
+    run_staged_serving_in_session(
+        &mut session,
+        dataset.decomp(),
+        dataset.coords(),
+        config,
+        iters,
+        serve,
+        &|it, rank| dataset.rank_blocks(it, rank),
+    )
 }
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -106,15 +127,7 @@ fn serve_path_ships_the_persisted_bytes() {
     let run_with = |serve: &ServeParams| {
         let backend: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
         let sink = FrameSink::new(Arc::clone(&backend), "run", CodecKind::Fpz);
-        let run = run_staged_serving_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &staged_config(sink),
-            &iters,
-            serve,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let run = serve_fresh(&dataset, &staged_config(sink), &iters, serve);
         (run, backend)
     };
     let (wait, store_a) =
@@ -139,7 +152,7 @@ fn serve_path_ships_the_persisted_bytes() {
     }
     // The staged pipeline observables agree too: serving load shapes
     // service latency, not what was rendered.
-    let tri = |r: &insitu::pipeline::ServingRun| {
+    let tri = |r: &ServingRun| {
         r.staged
             .frames
             .iter()
@@ -170,15 +183,7 @@ fn cache_on_vs_off_serving_is_pinned() {
         let serve = ServeParams::new(4, 8, ServePolicy::BestEffort)
             .with_think_time(0.1)
             .with_cache_bytes(cache_bytes);
-        let run = run_staged_serving_prepared(
-            dataset.decomp(),
-            dataset.coords(),
-            &staged_config(sink),
-            &iters,
-            &serve,
-            NetModel::blue_waters(),
-            |it, rank| dataset.rank_blocks(it, rank),
-        );
+        let run = serve_fresh(&dataset, &staged_config(sink), &iters, &serve);
         (run, backend)
     };
 
@@ -206,9 +211,7 @@ fn cache_on_vs_off_serving_is_pinned() {
             );
         }
     }
-    let reports = |r: &insitu::pipeline::ServingRun| {
-        r.staged.frames.iter().map(|f| f.report).collect::<Vec<_>>()
-    };
+    let reports = |r: &ServingRun| r.staged.frames.iter().map(|f| f.report).collect::<Vec<_>>();
     assert_eq!(reports(&cached), reports(&uncached));
     assert_eq!(cached.frames_served(), uncached.frames_served());
     assert_eq!(cached.requests.len(), uncached.requests.len());
@@ -232,9 +235,8 @@ fn one_shot_and_in_session_serving_replay_identically() {
     let serve = ServeParams::new(3, 6, ServePolicy::WaitForFrame).with_think_time(0.1);
 
     let backend_a: Arc<dyn StoreBackend> = Arc::new(MemStore::new());
-    let one_shot = run_staged_serving_prepared(
-        dataset.decomp(),
-        dataset.coords(),
+    let one_shot = serve_fresh(
+        &dataset,
         &staged_config(FrameSink::new(
             Arc::clone(&backend_a),
             "run",
@@ -242,8 +244,6 @@ fn one_shot_and_in_session_serving_replay_identically() {
         )),
         &iters,
         &serve,
-        NetModel::blue_waters(),
-        |it, rank| dataset.rank_blocks(it, rank),
     );
 
     let prepared = Prepared::from_dataset(

@@ -2,8 +2,9 @@
 //! redistribution → rendering → adaptation, across all workspace crates.
 
 use insitu::cm1::ReflectivityDataset;
+use insitu::comm::{NetModel, Runtime};
 use insitu::pipeline::{
-    run_experiment, run_experiment_on, IterationReport, PipelineConfig, Redistribution,
+    run_experiment, run_sweep_in_session, IterationReport, PipelineConfig, Redistribution,
 };
 
 fn tiny(nranks: usize) -> ReflectivityDataset {
@@ -166,18 +167,20 @@ fn network_model_only_affects_communication_steps() {
     let cfg = PipelineConfig::default()
         .deterministic()
         .with_redistribution(Redistribution::RandomShuffle { seed: 1 });
-    let gemini = run_experiment_on(
-        &dataset,
-        cfg.clone(),
-        &[300],
-        insitu::comm::NetModel::blue_waters(),
-    );
-    let gige = run_experiment_on(
-        &dataset,
-        cfg,
-        &[300],
-        insitu::comm::NetModel::gigabit_ethernet(),
-    );
+    let run_on = |net: NetModel| -> Vec<IterationReport> {
+        let mut session = Runtime::new(dataset.decomp().nranks(), net).session();
+        run_sweep_in_session(
+            &mut session,
+            dataset.decomp(),
+            dataset.coords(),
+            std::slice::from_ref(&cfg),
+            &[300],
+            &|it, rank| dataset.rank_blocks(it, rank),
+        )
+        .swap_remove(0)
+    };
+    let gemini = run_on(NetModel::blue_waters());
+    let gige = run_on(NetModel::gigabit_ethernet());
     assert!(gige[0].t_redistribute > gemini[0].t_redistribute);
     assert_eq!(gige[0].triangles_total, gemini[0].triangles_total);
 }

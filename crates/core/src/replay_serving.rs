@@ -21,6 +21,13 @@
 //!   (`miss_read + read_per_byte × bytes`) per cache-missed frame. Cache
 //!   hits move no bytes and charge nothing.
 //!
+//! The per-request semantics are `apc-serve`'s, shared with the live
+//! stager (`crate::serving`): every frame of a completed run exists, so
+//! [`apc_serve::resolve`] (through the tier mapping of [`resolve`]) never
+//! defers; [`Resolution::reply`] assembles the answer at
+//! [`Fidelity::Full`]; and the client checks it with
+//! [`FrameReply::verify`] plus the resolved keys.
+//!
 //! **Why this cannot deadlock, and why it replays bit-identically.**
 //! Clients send *all* requests before receiving anything, so no server
 //! ever blocks on a request that depends on a reply. Servers receive in
@@ -34,13 +41,11 @@ use std::sync::Arc;
 
 use apc_comm::{NetModel, Rank, ServeClient, ServeServer, Session};
 use apc_par::{par_map, ExecPolicy};
-use apc_replay::{resolve, ArrivalTrace, PoolParams, PoolPlan, QosTier, Resolution};
-use apc_serve::{
-    frame_key, open_run, Fidelity, Frame, FrameReply, FrameRequest, FrameStore, ServedFrame,
-};
+use apc_replay::{resolve, ArrivalTrace, PoolParams, PoolPlan, QosTier};
+use apc_serve::{frame_key, open_run, Fidelity, FrameReply, FrameRequest, FrameStore, Resolution};
 use apc_store::{CacheStats, CachedBackend, StoreBackend};
 
-use crate::stats::percentile;
+use crate::stats::{hit_rate, percentile};
 
 /// One replayed request as the client experienced it.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,8 +84,6 @@ pub struct ReplayServerStats {
     pub frames_served: usize,
     /// Requests it executed that a steal moved onto it.
     pub stolen: usize,
-    /// Of its requests, how many came from premium-tier clients.
-    pub premium: usize,
     /// The server's full per-rank cache counters ([`CachedBackend`]).
     pub cache: CacheStats,
     /// The server's final virtual clock.
@@ -109,12 +112,7 @@ impl ReplayRun {
     /// Pool-wide cache hit rate over frame reads (0 when nothing was
     /// read).
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits: usize = self.servers.iter().map(|s| s.cache.hits).sum();
-        let misses: usize = self.servers.iter().map(|s| s.cache.misses).sum();
-        if hits + misses == 0 {
-            return 0.0;
-        }
-        hits as f64 / (hits + misses) as f64
+        hit_rate(self.servers.iter().map(|s| &s.cache))
     }
 
     /// Requests answered inexactly (substituted, `NotYet`, or
@@ -338,44 +336,27 @@ fn server_program(
             stats.stolen += 1;
         }
         rank.advance(params.service_base);
-        if a.tier == QosTier::Premium {
-            stats.premium += 1;
-        }
 
-        let reply = match &resolved[slot].0 {
-            Resolution::Frames { exact, keys } => {
-                let mut frames = Vec::with_capacity(keys.len());
-                for &(it, st) in keys {
-                    let before = cached.stats().misses;
-                    let stream = store.encoded(it, st).unwrap_or_else(|e| {
-                        // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the replay loudly
-                        panic!("replay server {s} failed to read frame ({it}, {st}): {e}")
-                    });
-                    let hit = cached.stats().misses == before;
-                    if !hit {
-                        // The storage tier is real data movement with its
-                        // own latency floor; a hit moves no bytes.
-                        rank.advance(params.miss_read + params.read_per_byte * stream.len() as f64);
-                    }
-                    frames.push(ServedFrame {
-                        iteration: it,
-                        stager: st,
-                        cache_hit: hit,
-                        // The replay pool serves persisted bytes verbatim
-                        // — no budget controller, no degradation.
-                        fidelity: Fidelity::Full,
-                        stream,
-                    });
+        // The replay pool serves persisted bytes verbatim — no budget
+        // controller, no degradation.
+        let reply = resolved[slot]
+            .0
+            .reply(Fidelity::Full, |(it, st)| {
+                let before = cached.stats().misses;
+                let stream = store.encoded(it, st)?;
+                let hit = cached.stats().misses == before;
+                if !hit {
+                    // The storage tier is real data movement with its own
+                    // latency floor; a hit moves no bytes.
+                    rank.advance(params.miss_read + params.read_per_byte * stream.len() as f64);
                 }
-                stats.frames_served += frames.len();
-                FrameReply::Frames {
-                    exact: *exact,
-                    frames,
-                }
-            }
-            Resolution::NotYet => FrameReply::NotYet,
-            Resolution::NoSuchIteration(it) => FrameReply::NoSuchIteration(*it),
-        };
+                Ok((stream, hit))
+            })
+            .unwrap_or_else(|e| {
+                // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the replay loudly
+                panic!("replay server {s} failed to read a frame: {e}")
+            });
+        stats.frames_served += reply.frames().len();
         // Replies ride the wire as their encoded bytes — the same codec
         // boundary the requests cross, charged at exactly the encoded
         // length.
@@ -423,28 +404,22 @@ fn client_program(
         for &slot in &pair_slots[s][c] {
             let a = &trace.arrivals[slot];
             let d = ep.recv_reply::<Vec<u8>>(rank);
-            let reply = FrameReply::decode(&d.msg).unwrap_or_else(|e| {
+            // End-to-end verification: every frame must decode to the key
+            // it claims, and the keys must be the pure resolution of the
+            // recorded request.
+            let (reply, cache_hits) = FrameReply::decode(&d.msg)
+                .and_then(|r| r.verify().map(|hits| (r, hits)))
                 // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply fails the replay loudly
-                panic!("client {c} received an undecodable reply: {e}")
-            });
-            let reply = &reply;
-            // End-to-end verification: the reply must match the pure
-            // resolution of the recorded request, and every frame must
-            // decode to the key it claims.
+                .unwrap_or_else(|e| panic!("client {c} received a corrupt reply: {e}"));
             let expect = resolve(a.request, a.stager, a.tier, iterations);
-            let keys = expect.keys();
-            assert_eq!(reply.frames().len(), keys.len(), "reply frame count");
-            let mut cache_hits = 0;
-            for (served, &(it, st)) in reply.frames().iter().zip(keys) {
-                assert_eq!((served.iteration, served.stager), (it, st), "frame key");
-                let frame = Frame::decode(&served.stream).unwrap_or_else(|e| {
-                    // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt frame fails the replay loudly
-                    panic!("client {c} received an undecodable frame: {e}")
-                });
-                assert_eq!(frame.iteration, it, "decoded frame iteration");
-                assert_eq!(frame.stager, st, "decoded frame stager");
-                cache_hits += usize::from(served.cache_hit);
-            }
+            assert!(
+                reply
+                    .frames()
+                    .iter()
+                    .map(|f| (f.iteration, f.stager))
+                    .eq(expect.keys().iter().copied()),
+                "reply frames diverge from the resolved keys"
+            );
             let asg = &plan.assignments[slot];
             logs.push(ReplayRequestLog {
                 slot,

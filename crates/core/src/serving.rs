@@ -22,6 +22,14 @@
 //! client's latency absorbs the wait), `BestEffort` answers immediately
 //! with the newest frame available.
 //!
+//! The per-request semantics are `apc-serve`'s, shared with the replay
+//! pool (`crate::replay_serving`): [`resolve`] over the frames rendered
+//! so far, [`Resolution::reply`] to assemble the answer, and
+//! [`FrameReply::verify`] on the client. This executor owns only its
+//! quota-interleaved scheduler, its hot-frame cache, its ingest charge
+//! for misses and the per-stager budget controller that picks the
+//! [`Fidelity`] rung.
+//!
 //! **Why this cannot deadlock, and why it replays bit-identically.** A
 //! client sends request `j + 1` only after receiving reply `j`, and a
 //! stager blocks on a client only when every earlier reply to it has been
@@ -40,8 +48,8 @@ use std::collections::VecDeque;
 use apc_comm::{Rank, ServeClient, ServeServer, Session};
 use apc_grid::{Block, DomainDecomp, RectilinearCoords};
 use apc_serve::{
-    degrade_stream, Fidelity, Frame, FrameKey, FrameReply, FrameRequest, FrameSink, RunManifest,
-    ServePolicy, ServedFrame,
+    resolve, Fidelity, FrameKey, FrameReply, FrameRequest, FrameSink, Resolution, RunManifest,
+    ServePolicy,
 };
 use apc_stage::{Partition, RankLog, StagedSpec};
 use apc_store::{CacheStats, ChunkCache};
@@ -49,7 +57,11 @@ use apc_store::{CacheStats, ChunkCache};
 use crate::config::{InSituMode, PipelineConfig};
 use crate::controller::BudgetController;
 use crate::staged::{merge_logs, rank_program, SimAux, StageOut, StagedRun};
-use crate::stats::percentile;
+use crate::stats::{hit_rate, percentile};
+
+/// Sliding-window length (latency samples) each stager's budget
+/// controller observes.
+const BUDGET_WINDOW: usize = 32;
 
 /// Parameters of one serving run: how many client ranks, how hard they
 /// ask, and how the stagers answer.
@@ -76,8 +88,6 @@ pub struct ServeParams {
     /// *delivered* tail stays inside `b`. `None`: fixed full fidelity,
     /// the pre-adaptive behavior.
     pub latency_budget: Option<f64>,
-    /// Sliding-window length (latency samples) the controller observes.
-    pub budget_window: usize,
     /// Virtual seconds of per-reply service work on the stager clock.
     /// Zero (the default) keeps pre-adaptive runs byte-identical.
     pub service_base: f64,
@@ -118,7 +128,6 @@ impl ServeParams {
             think_time: 0.0,
             cache_bytes: 1 << 20,
             latency_budget: None,
-            budget_window: 32,
             service_base: 0.0,
             reply_per_byte: 0.0,
             client_ramp: 0.0,
@@ -151,13 +160,6 @@ impl ServeParams {
             "latency budget must be finite and positive"
         );
         self.latency_budget = Some(budget);
-        self
-    }
-
-    /// Set the controller's sliding latency-window length.
-    pub fn with_budget_window(mut self, samples: usize) -> Self {
-        assert!(samples >= 1, "the latency window needs at least one slot");
-        self.budget_window = samples;
         self
     }
 
@@ -260,14 +262,6 @@ impl FidelityMix {
         self.full + self.degraded()
     }
 
-    /// Merge another mix into this one.
-    pub fn merge(&mut self, other: &FidelityMix) {
-        self.full += other.full;
-        self.lossy += other.lossy;
-        self.dropped += other.dropped;
-        self.header_only += other.header_only;
-    }
-
     /// Compact `full/lossy/dropped/header` column for report rows.
     pub fn summary(&self) -> String {
         format!(
@@ -284,20 +278,14 @@ pub struct ServerStats {
     pub requests: usize,
     /// Frame payloads it shipped.
     pub frames_served: usize,
-    /// Cache hits / misses over those payloads.
-    pub cache_hits: usize,
-    pub cache_misses: usize,
     /// Replies deferred to a later frame (`WaitForFrame` racing
     /// production).
     pub deferred: usize,
-    /// The stager's full per-rank cache counters (insertions, evictions,
-    /// evicted bytes, oversized rejects — not just the hit/miss totals
-    /// above), so policy comparisons can attribute hit-rate differences
-    /// to individual servers.
+    /// The stager's per-rank cache counters (hits and misses over the
+    /// payloads it shipped, plus insertions, evictions, evicted bytes and
+    /// oversized rejects), so policy comparisons can attribute hit-rate
+    /// differences to individual servers.
     pub cache: CacheStats,
-    /// Frame-carrying replies by fidelity rung (adaptive serving's
-    /// observable: all-`full` when no budget is set).
-    pub fidelity: FidelityMix,
     /// The stager's final controller output (0 without a budget): where
     /// on the ladder the controller settled by end of run.
     pub final_percent: f64,
@@ -327,12 +315,7 @@ impl ServingRun {
     /// Cache hit rate over all served payloads (0 when nothing was
     /// served).
     pub fn cache_hit_rate(&self) -> f64 {
-        let hits: usize = self.servers.iter().map(|s| s.cache_hits).sum();
-        let misses: usize = self.servers.iter().map(|s| s.cache_misses).sum();
-        if hits + misses == 0 {
-            return 0.0;
-        }
-        hits as f64 / (hits + misses) as f64
+        hit_rate(self.servers.iter().map(|s| &s.cache))
     }
 
     /// Replies that waited for a frame still in production.
@@ -352,11 +335,12 @@ impl ServingRun {
         percentile(self.requests.iter().map(|r| r.latency), p)
     }
 
-    /// Replies by fidelity rung, summed over every stager.
+    /// Frame-carrying replies by fidelity rung (adaptive serving's
+    /// observable: all-`full` when no budget is set).
     pub fn fidelity_mix(&self) -> FidelityMix {
         let mut mix = FidelityMix::default();
-        for s in &self.servers {
-            mix.merge(&s.fidelity);
+        for r in self.requests.iter().filter(|r| r.frames > 0) {
+            mix.count(r.fidelity);
         }
         mix
     }
@@ -414,16 +398,6 @@ pub(crate) fn gen_request(
     }
 }
 
-/// What a stager does with one request, given that frames `0..=k` exist.
-enum Action {
-    /// Serve these frame indices now.
-    Ready { exact: bool, idxs: Vec<usize> },
-    /// Hold the reply until frame `due` is rendered.
-    Defer(usize),
-    /// Answer immediately with a frameless reply.
-    Answer(FrameReply),
-}
-
 /// One client's connection state at its serving stager.
 struct ClientConn {
     ep: ServeServer,
@@ -440,20 +414,18 @@ struct ClientConn {
 /// Per-stager serving state, driven from the staged executor's per-frame
 /// hook (`crate::staged::rank_program`).
 pub struct StagerServe<'a> {
-    policy: ServePolicy,
+    serve: &'a ServeParams,
     slot: u32,
     sink: &'a FrameSink,
     iterations: &'a [usize],
-    requests_per_client: usize,
     cache: ChunkCache<FrameKey>,
     clients: Vec<ClientConn>,
     stats: ServerStats,
     /// Algorithm 1 over reply latency, when a budget is set.
     budget: Option<BudgetController>,
-    /// Sliding window of the last `window_cap` stager-observed reply
-    /// latencies (send clock − request arrival).
+    /// Sliding window of the last [`BUDGET_WINDOW`] stager-observed
+    /// reply latencies (send clock − request arrival).
     window: VecDeque<f64>,
-    window_cap: usize,
     /// Replies shipped since the controller last observed the window —
     /// the controller only steps on fresh evidence.
     served_since_observe: usize,
@@ -461,16 +433,13 @@ pub struct StagerServe<'a> {
     percent_in_effect: f64,
     /// Ladder rung the next replies ship at.
     fidelity: Fidelity,
-    service_base: f64,
-    reply_per_byte: f64,
-    fault: Option<ServeFault>,
 }
 
 impl<'a> StagerServe<'a> {
     /// Serving state for stager `slot`, answering `client_ranks` (global
     /// rank ids, fixed order).
     pub(crate) fn new(
-        serve: &ServeParams,
+        serve: &'a ServeParams,
         slot: u32,
         sink: &'a FrameSink,
         iterations: &'a [usize],
@@ -484,11 +453,10 @@ impl<'a> StagerServe<'a> {
         // delivered p99 inside the budget itself.
         let budget = serve.latency_budget.map(|b| BudgetController::new(b * 0.5));
         Self {
-            policy: serve.policy,
+            serve,
             slot,
             sink,
             iterations,
-            requests_per_client: serve.requests_per_client,
             cache: ChunkCache::new(serve.cache_bytes),
             clients: client_ranks
                 .into_iter()
@@ -503,19 +471,15 @@ impl<'a> StagerServe<'a> {
             // the opening fidelity is Full with or without a budget.
             percent_in_effect: budget.as_ref().map(|c| c.percent()).unwrap_or(0.0),
             budget,
-            window: VecDeque::with_capacity(serve.budget_window),
-            window_cap: serve.budget_window,
+            window: VecDeque::with_capacity(BUDGET_WINDOW),
             served_since_observe: 0,
             fidelity: Fidelity::Full,
-            service_base: serve.service_base,
-            reply_per_byte: serve.reply_per_byte,
-            fault: serve.fault,
         }
     }
 
-    /// Called by the stager right after persisting frame `k`: seed the
-    /// hot cache.
-    pub(crate) fn on_frame_rendered(&mut self, _k: usize, iteration: u64, stream: Vec<u8>) {
+    /// Called by the stager right after persisting a frame: seed the hot
+    /// cache.
+    pub(crate) fn on_frame_rendered(&mut self, iteration: u64, stream: Vec<u8>) {
         self.cache.put((iteration, self.slot), stream);
     }
 
@@ -527,55 +491,79 @@ impl<'a> StagerServe<'a> {
     pub(crate) fn after_frame(&mut self, rank: &mut Rank, k: usize, nframes: usize) {
         debug_assert!(k < nframes);
         for i in 0..self.clients.len() {
-            if let Some((q, due, arrival)) = self.clients[i].deferred {
-                if due <= k {
-                    self.clients[i].deferred = None;
-                    match self.resolve(q, k) {
-                        Action::Ready { exact, idxs } => {
-                            let reply = self.build_reply(rank, exact, &idxs);
-                            self.ship_reply(rank, i, reply, arrival);
-                        }
-                        _ => unreachable!("a deferred request is servable at its due frame"),
-                    }
-                }
+            // A deferred request's due frame exists now, so it resolves
+            // to frames.
+            if let Some((q, _, arrival)) = self.clients[i].deferred.take_if(|d| d.1 <= k) {
+                let res = resolve(q, self.slot, self.serve.policy, self.iterations, k + 1);
+                self.answer(rank, i, &res, arrival);
             }
         }
         let quota = if k + 1 == nframes {
-            self.requests_per_client
+            self.serve.requests_per_client
         } else {
-            (self.requests_per_client * (k + 1)).div_ceil(nframes)
+            (self.serve.requests_per_client * (k + 1)).div_ceil(nframes)
         };
         for i in 0..self.clients.len() {
             while self.clients[i].taken < quota && self.clients[i].deferred.is_none() {
-                let d = self.clients[i].ep.recv_request::<FrameRequest>(rank);
-                let (q, arrival) = (d.msg, d.arrival);
+                let d = self.clients[i].ep.recv_request::<Vec<u8>>(rank);
+                let q = FrameRequest::decode(&d.msg).unwrap_or_else(|e| {
+                    // apc-lint: allow(unwrap-in-lib): inside a rank program a corrupt request fails the run loudly (poisons the session)
+                    panic!("stager {} received a corrupt request: {e}", self.slot)
+                });
                 self.clients[i].taken += 1;
                 self.stats.requests += 1;
-                match self.resolve(q, k) {
-                    Action::Ready { exact, idxs } => {
-                        let reply = self.build_reply(rank, exact, &idxs);
-                        self.ship_reply(rank, i, reply, arrival);
-                    }
-                    Action::Defer(due) => {
+                match resolve(q, self.slot, self.serve.policy, self.iterations, k + 1) {
+                    Resolution::Defer(due) => {
                         debug_assert!(due > k, "deferrals always point forward");
-                        self.clients[i].deferred = Some((q, due, arrival));
+                        self.clients[i].deferred = Some((q, due, d.arrival));
                         self.stats.deferred += 1;
                     }
-                    Action::Answer(reply) => self.ship_reply(rank, i, reply, arrival),
+                    res => self.answer(rank, i, &res, d.arrival),
                 }
             }
         }
-        self.step_controller(k);
+        self.step_controller();
     }
 
-    /// Encode and send one reply: charge the explicit serve cost
+    /// Answer one client's request: assemble the reply at the ladder rung
+    /// currently in effect, charge the explicit serve cost
     /// (`service_base + reply_per_byte × encoded bytes`) on the stager's
     /// clock, observe the reply's latency into the controller window,
     /// fire a scripted [`ServeFault`] if one targets this request, and
     /// ship the encoded bytes (the wire charge is exactly their length).
-    fn ship_reply(&mut self, rank: &mut Rank, client: usize, reply: FrameReply, arrival: f64) {
+    ///
+    /// Each frame is answered from the cache or the frame store. Virtual
+    /// read charges are cache-aware: a hit moves no bytes and charges
+    /// nothing; a miss charges the ranged read of exactly the encoded
+    /// stream's bytes (`FrameStore::encoded` reads that byte range and
+    /// nothing more, flat or sharded) at the same per-byte ingest cost any
+    /// other transfer pays. The cache always holds the *full* stream —
+    /// degradation happens per reply, so a later recovery to full fidelity
+    /// serves undamaged bytes from the same cache entry.
+    fn answer(&mut self, rank: &mut Rank, client: usize, res: &Resolution, arrival: f64) {
+        let (cache, sink) = (&mut self.cache, self.sink);
+        let reply = res
+            .reply(self.fidelity, |key| {
+                if let Some(s) = cache.get(&key) {
+                    return Ok((s.to_vec(), true));
+                }
+                let s = sink.store().encoded(key.0, key.1)?;
+                let cost = rank.net().ingest(s.len());
+                rank.advance(cost);
+                cache.put(key, s.clone());
+                Ok((s, false))
+            })
+            .unwrap_or_else(|e| {
+                // apc-lint: allow(unwrap-in-lib): inside a rank program a frame that fails to read back or re-encode fails the run loudly (poisons the session)
+                panic!(
+                    "stager {} failed to build a {} reply: {e}",
+                    self.slot,
+                    self.fidelity.name()
+                )
+            });
+        self.stats.frames_served += reply.frames().len();
         let wire = reply.encode();
-        if let Some(f) = self.fault {
+        if let Some(f) = self.serve.fault {
             // `stats.requests` was incremented when the request was
             // taken, so the fault lands after the reply is fully built
             // and degraded but before its bytes reach the client.
@@ -589,24 +577,21 @@ impl<'a> StagerServe<'a> {
                 );
             }
         }
-        let cost = self.service_base + self.reply_per_byte * wire.len() as f64;
+        let cost = self.serve.service_base + self.serve.reply_per_byte * wire.len() as f64;
         rank.advance(cost);
         let latency = rank.clock() - arrival;
-        if self.window.len() == self.window_cap {
+        if self.window.len() == BUDGET_WINDOW {
             self.window.pop_front();
         }
         self.window.push_back(latency);
         self.served_since_observe += 1;
-        if !reply.frames().is_empty() {
-            self.stats.fidelity.count(reply.worst_fidelity());
-        }
         self.clients[client].ep.send_reply(rank, wire);
         // Long serving batches (deep fan-in, the final-frame drain) would
         // otherwise run hundreds of replies at a stale fidelity: re-step
         // the controller every window's worth of replies so it reacts
         // within a batch, not just between frames.
-        if self.served_since_observe >= self.window_cap {
-            self.step_controller(0);
+        if self.served_since_observe >= BUDGET_WINDOW {
+            self.step_controller();
         }
     }
 
@@ -617,7 +602,7 @@ impl<'a> StagerServe<'a> {
     /// percentile) makes the controller's set point a tail bound: at
     /// equilibrium the worst recent reply sits at the budget, so the
     /// run-wide p99 lands at or under it.
-    fn step_controller(&mut self, _k: usize) {
+    fn step_controller(&mut self) {
         let Some(ctrl) = self.budget.as_mut() else {
             return;
         };
@@ -636,133 +621,14 @@ impl<'a> StagerServe<'a> {
         debug_assert!(
             self.clients
                 .iter()
-                .all(|c| c.taken == self.requests_per_client && c.deferred.is_none()),
+                .all(|c| c.taken == self.serve.requests_per_client && c.deferred.is_none()),
             "every client fully served at end of run"
         );
         ServerStats {
-            cache_hits: self.cache.hits(),
-            cache_misses: self.cache.misses(),
             cache: self.cache.stats(),
             final_percent: self.percent_in_effect,
             ..self.stats
         }
-    }
-
-    fn index_of(&self, it: u64) -> Option<usize> {
-        self.iterations.iter().position(|&x| x as u64 == it)
-    }
-
-    fn resolve(&self, q: FrameRequest, k: usize) -> Action {
-        match q {
-            FrameRequest::Latest => Action::Ready {
-                exact: true,
-                idxs: vec![k],
-            },
-            FrameRequest::AtIteration(it) => match self.index_of(it) {
-                None => Action::Answer(FrameReply::NoSuchIteration(it)),
-                Some(idx) if idx <= k => Action::Ready {
-                    exact: true,
-                    idxs: vec![idx],
-                },
-                Some(idx) => match self.policy {
-                    ServePolicy::WaitForFrame => Action::Defer(idx),
-                    ServePolicy::BestEffort => Action::Ready {
-                        exact: false,
-                        idxs: vec![k],
-                    },
-                },
-            },
-            FrameRequest::Range { start, end } => {
-                let idxs: Vec<usize> = self
-                    .iterations
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &x)| (x as u64) >= start && (x as u64) <= end)
-                    .map(|(i, _)| i)
-                    .collect();
-                let Some(&last) = idxs.last() else {
-                    return Action::Answer(FrameReply::NoSuchIteration(start));
-                };
-                if last <= k {
-                    return Action::Ready { exact: true, idxs };
-                }
-                match self.policy {
-                    ServePolicy::WaitForFrame => Action::Defer(last),
-                    ServePolicy::BestEffort => {
-                        let avail: Vec<usize> = idxs.into_iter().filter(|&i| i <= k).collect();
-                        if avail.is_empty() {
-                            Action::Answer(FrameReply::NotYet)
-                        } else {
-                            Action::Ready {
-                                exact: false,
-                                idxs: avail,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Assemble a reply, answering each frame from the cache or the frame
-    /// store, then degrading it to the ladder rung currently in effect.
-    /// Virtual read charges are cache-aware: a hit moves no bytes
-    /// and charges nothing; a miss charges the ranged read of exactly the
-    /// encoded stream's bytes (`FrameStore::encoded` reads that byte
-    /// range and nothing more, flat or sharded). The cache always holds
-    /// the *full* stream — degradation happens per reply, so a later
-    /// recovery to full fidelity serves undamaged bytes from the same
-    /// cache entry.
-    fn build_reply(&mut self, rank: &mut Rank, exact: bool, idxs: &[usize]) -> FrameReply {
-        let fidelity = self.fidelity;
-        let mut frames = Vec::with_capacity(idxs.len());
-        for &idx in idxs {
-            let it = self.iterations[idx] as u64;
-            let key = (it, self.slot);
-            let (stream, cache_hit) = match self.cache.get(&key) {
-                Some(s) => (s.to_vec(), true),
-                None => {
-                    let s = self
-                        .sink
-                        .store()
-                        .encoded(it, self.slot)
-                        .unwrap_or_else(|e| {
-                            // apc-lint: allow(unwrap-in-lib): inside a rank program a failed store read fails the run loudly (poisons the session)
-                            panic!(
-                                "stager {} failed to read back frame (iteration {it}): {e}",
-                                self.slot
-                            )
-                        });
-                    // The store read is real data movement: charge the
-                    // same per-byte ingest cost any other transfer pays.
-                    let cost = rank.net().ingest(s.len());
-                    rank.advance(cost);
-                    self.cache.put(key, s.clone());
-                    (s, false)
-                }
-            };
-            let stream = match fidelity {
-                // Full fidelity ships the bytes as-is (no re-encode copy).
-                Fidelity::Full => stream,
-                _ => degrade_stream(&stream, fidelity).unwrap_or_else(|e| {
-                    // apc-lint: allow(unwrap-in-lib): a rendered frame that fails to re-encode means the run's own bytes are corrupt — fail loudly (poisons the session)
-                    panic!(
-                        "stager {} failed to degrade frame (iteration {it}) to {}: {e}",
-                        self.slot,
-                        fidelity.name()
-                    )
-                }),
-            };
-            frames.push(ServedFrame {
-                iteration: it,
-                stager: self.slot,
-                cache_hit,
-                fidelity,
-                stream,
-            });
-        }
-        self.stats.frames_served += frames.len();
-        FrameReply::Frames { exact, frames }
     }
 }
 
@@ -785,32 +651,24 @@ fn client_program(
     for j in 0..serve.requests_per_client {
         let q = gen_request(client, j, iterations, serve.requests_per_client);
         let t0 = rank.clock();
-        ep.send_request(rank, q);
-        // Replies ride the wire as their encoded bytes (`Vec<u8>` meters
-        // as its length, so the virtual charge is exactly the encoded
-        // size — which is what the fidelity ladder shrinks).
+        // Requests and replies ride the wire as their encoded bytes
+        // (`Vec<u8>` meters as its length, so the virtual charge is
+        // exactly the encoded size — which is what the fidelity ladder
+        // shrinks).
+        ep.send_request(rank, q.encode());
         let wire: Vec<u8> = ep.recv_reply(rank).msg;
-        let reply = FrameReply::decode(&wire)
-            // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply fails the run loudly
-            .unwrap_or_else(|e| panic!("client {client} received an undecodable reply: {e}"));
         let latency = rank.clock() - t0;
-        let mut cache_hits = 0;
-        for served in reply.frames() {
-            // Decode end to end: a frame that survived store + wire must
-            // parse back; a corrupt one fails the run loudly.
-            let frame = Frame::decode(&served.stream)
-                // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt frame fails the run loudly
-                .unwrap_or_else(|e| panic!("client {client} received an undecodable frame: {e}"));
-            assert_eq!(frame.stager, server_slot, "frame from the wrong stager");
-            assert_eq!(frame.iteration, served.iteration, "frame key mismatch");
-            if served.fidelity == Fidelity::HeaderOnly {
-                assert!(
-                    frame.pixels.is_empty(),
-                    "a header-only frame must carry no pixels"
-                );
-            }
-            cache_hits += usize::from(served.cache_hit);
-        }
+        // Decode and verify end to end: every frame that survived store +
+        // wire must parse back as the key it is served as, from this
+        // client's stager; a corrupt one fails the run loudly.
+        let (reply, cache_hits) = FrameReply::decode(&wire)
+            .and_then(|r| r.verify().map(|hits| (r, hits)))
+            // apc-lint: allow(unwrap-in-lib): end-to-end check in a rank program — a corrupt reply fails the run loudly
+            .unwrap_or_else(|e| panic!("client {client} received a corrupt reply: {e}"));
+        assert!(
+            reply.frames().iter().all(|f| f.stager == server_slot),
+            "frame from the wrong stager"
+        );
         logs.push(RequestLog {
             client,
             request: q,
@@ -1218,7 +1076,6 @@ mod tests {
             .with_think_time(0.25)
             .with_cache_bytes(2048)
             .with_latency_budget(0.5)
-            .with_budget_window(16)
             .with_serve_costs(0.01, 1e-5)
             .with_client_ramp(0.125)
             .with_fault(ServeFault {
@@ -1230,7 +1087,6 @@ mod tests {
         assert_eq!(p.think_time, 0.25);
         assert_eq!(p.cache_bytes, 2048);
         assert_eq!(p.latency_budget, Some(0.5));
-        assert_eq!(p.budget_window, 16);
         assert_eq!(p.service_base, 0.01);
         assert_eq!(p.reply_per_byte, 1e-5);
         assert_eq!(p.client_ramp, 0.125);

@@ -419,7 +419,7 @@ where
                 .with_render_info(stats.triangles as u64, percent);
                 let stream = sink.persist_stream(&frame);
                 if let Some(srv) = serve.as_deref_mut() {
-                    srv.on_frame_rendered(k, it as u64, stream);
+                    srv.on_frame_rendered(it as u64, stream);
                 }
             }
             if let Some(srv) = serve.as_deref_mut() {

@@ -1,12 +1,15 @@
-//! Shared latency statistics for the serving executors.
+//! Shared statistics for the serving executors.
 //!
 //! Both serving executors (`serving.rs`'s staged serving and
 //! `replay_serving.rs`'s standalone replay pool) — and, since the
 //! adaptive-serving work, every per-stager `BudgetController` window —
-//! report tail latencies through the same **nearest-rank** percentile.
-//! The rule used to be copy-pasted at each call site; a drift in the
-//! rounding convention between copies would silently skew the perf-gate
-//! comparisons that consume these numbers, so it lives here once.
+//! report tail latencies through the same **nearest-rank** percentile,
+//! and pool-wide cache hit rates through the same [`hit_rate`]. The
+//! rules used to be copy-pasted at each call site; a drift in a
+//! convention between copies would silently skew the perf-gate
+//! comparisons that consume these numbers, so each lives here once.
+
+use apc_store::CacheStats;
 
 /// The `p`-th percentile (0–100) of `values`, by the nearest-rank rule
 /// `idx = round(p/100 · (n−1))` over the sorted samples.
@@ -31,9 +34,33 @@ pub fn percentile(values: impl IntoIterator<Item = f64>, p: f64) -> f64 {
     sorted[idx]
 }
 
+/// Hit rate over the lookups of every cache in `caches` (0 when nothing
+/// was looked up).
+pub fn hit_rate<'a>(caches: impl IntoIterator<Item = &'a CacheStats>) -> f64 {
+    let (hits, misses) = caches
+        .into_iter()
+        .fold((0, 0), |(h, m), c| (h + c.hits, m + c.misses));
+    if hits + misses == 0 {
+        return 0.0;
+    }
+    hits as f64 / (hits + misses) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hit_rate_pools_every_cache() {
+        let cache = |hits, misses| CacheStats {
+            hits,
+            misses,
+            ..CacheStats::default()
+        };
+        assert_eq!(hit_rate(&[cache(3, 1), cache(0, 4)]), 3.0 / 8.0);
+        assert_eq!(hit_rate(&[cache(0, 0)]), 0.0, "no lookups, no rate");
+        assert_eq!(hit_rate(&[]), 0.0);
+    }
 
     #[test]
     fn empty_input_is_zero() {

@@ -24,8 +24,9 @@
 //!   server executes each arrival and in what order — including
 //!   virtual-time request stealing (idle server takes the newest queued
 //!   request from the most-loaded peer).
-//! * [`qos`] — [`resolve`]: tier-aware request resolution over a
-//!   completed run (premium: exact or a typed error; free: substitute or
+//! * [`resolve`] — a request over a completed run: the shared
+//!   [`apc_serve::resolve`] with every frame produced, under the client
+//!   tier's policy (premium: exact or a typed error; free: substitute or
 //!   `NotYet`).
 //! * [`fixture`] — deterministic synthetic runs ([`synth_run`]) so
 //!   suites and benches regenerate their persisted input instead of
@@ -37,12 +38,24 @@
 
 pub mod fixture;
 pub mod plan;
-pub mod qos;
 pub mod route;
 pub mod trace;
 
 pub use fixture::{small_run, synth_run};
 pub use plan::{Assignment, PoolParams, PoolPlan, ReplayFault};
-pub use qos::{resolve, Resolution};
 pub use route::{primary_for, rendezvous_server, route_key, RouteMode};
 pub use trace::{Arrival, ArrivalTrace, QosTier, TraceSpec};
+
+use apc_serve::{FrameRequest, Resolution};
+
+/// Resolve `request` (targeting `stager`'s frames) for a `tier` client
+/// against a completed run's sorted iteration list — every frame exists,
+/// so the answer is never a deferral.
+pub fn resolve(
+    request: FrameRequest,
+    stager: u32,
+    tier: QosTier,
+    iterations: &[usize],
+) -> Resolution {
+    apc_serve::resolve(request, stager, tier.policy(), iterations, iterations.len())
+}

@@ -16,10 +16,14 @@
 //! * [`FrameSink`] — the cloneable write handle `apc-core` threads through
 //!   `StagedParams::persist` so stagers persist frames as they render;
 //! * [`FrameRequest`] / [`FrameReply`] — the deterministic request/reply
-//!   protocol served over `apc_comm::bounded`'s reserved serve tags, with
-//!   a [`ServePolicy`] deciding what happens when a request races frame
-//!   production (wait for the frame, or answer best-effort with the
-//!   newest one available);
+//!   protocol served over `apc_comm::bounded`'s reserved serve tags;
+//!   [`FrameReply::verify`] is the client's end-to-end check of a reply;
+//! * [`resolve`] / [`Resolution`] — the serving semantics both executors
+//!   share: what a request gets given the frames produced so far, with a
+//!   [`ServePolicy`] deciding what happens when it races production (wait
+//!   for the frame, or answer best-effort with the newest one available),
+//!   and [`Resolution::reply`], which assembles the reply from the
+//!   executor's own frame reads at a fidelity rung;
 //! * [`Fidelity`] / [`degrade_stream`] — the reply-fidelity ladder the
 //!   adaptive serving executor walks under latency pressure (full →
 //!   lossy zfpx re-encode → score-ranked dropping → header-only), plus
@@ -30,9 +34,10 @@
 //!   the replay pool's routing.
 //!
 //! The crate is deliberately runtime-agnostic: it defines payloads,
-//! persistence and cache arithmetic, all deterministic; the SPMD serving
-//! executor that co-schedules client ranks against the stager pool lives
-//! in `apc-core` (`core/src/serving.rs`).
+//! persistence, request resolution and reply assembly, all deterministic;
+//! the two SPMD serving executors that schedule them — the live stager
+//! pool and the replay pool — live in `apc-core` (`core/src/serving.rs`,
+//! `core/src/replay_serving.rs`).
 //!
 //! ```
 //! use apc_serve::{Frame, FrameStore};
@@ -49,11 +54,13 @@
 pub mod degrade;
 pub mod frame;
 pub mod protocol;
+pub mod resolution;
 pub mod store;
 
 pub use degrade::degrade_stream;
 pub use frame::Frame;
 pub use protocol::{Fidelity, FrameReply, FrameRequest, ServePolicy, ServedFrame};
+pub use resolution::{resolve, Resolution};
 pub use store::{frame_key, open_run, FrameSink, FrameStore, RunManifest};
 
 /// A frame's coordinate within a run: `(iteration, stager)`.

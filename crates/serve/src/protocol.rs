@@ -2,14 +2,16 @@
 //!
 //! Clients send a [`FrameRequest`] and block for the matching
 //! [`FrameReply`]; both ride the `apc_comm::bounded` serve endpoints
-//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]), so their
-//! virtual wire cost follows the ordinary `NetModel` accounting — which
-//! is why both types implement [`Meter`]. Replies ship frames as their
-//! *encoded* streams: the server never decodes (a cache or store read is
-//! a byte copy), the client decodes and verifies.
+//! ([`apc_comm::ServeClient`] / [`apc_comm::ServeServer`]) as their
+//! encoded bytes, so their virtual wire cost is exactly the encoded
+//! length under the ordinary `NetModel` accounting. The reply types
+//! implement [`Meter`] so [`FrameReply::encode`] allocates exactly that
+//! length up front. Replies ship frames as their *encoded* streams: the
+//! server never decodes (a cache or store read is a byte copy), the
+//! client decodes and checks every frame ([`FrameReply::verify`]).
 //!
-//! What happens when a request races frame production is the
-//! [`ServePolicy`]'s call:
+//! What a request gets — which frames, or a deferral, or a frameless
+//! answer — is decided by [`crate::resolve`] under the [`ServePolicy`]:
 //!
 //! * [`ServePolicy::WaitForFrame`] — the reply is deferred, in virtual
 //!   time, until the requested frame has been rendered; the wait shows up
@@ -21,7 +23,7 @@
 use apc_comm::Meter;
 use apc_compress::Zfpx;
 
-use crate::ServeError;
+use crate::{Frame, ServeError};
 
 /// What a client asks a serving stager for. Iterations are simulation
 /// iteration numbers (the frame key), not frame indices.
@@ -41,9 +43,9 @@ const TAG_AT: u8 = 2;
 const TAG_RANGE: u8 = 3;
 
 impl FrameRequest {
-    /// Serialize to the one-byte-tag + LE-operand wire form. The encoded
-    /// length equals [`Meter::nbytes`], so a request costs on the virtual
-    /// wire exactly what its bytes occupy on a real one.
+    /// Serialize to the one-byte-tag + LE-operand wire form. Requests
+    /// ride the wire as these bytes, so a request costs on the virtual
+    /// wire exactly what it occupies on a real one.
     pub fn encode(&self) -> Vec<u8> {
         match *self {
             FrameRequest::Latest => vec![TAG_LATEST],
@@ -116,17 +118,6 @@ impl FrameRequest {
             other => Err(ServeError::Corrupt(format!(
                 "unknown frame request tag {other}"
             ))),
-        }
-    }
-}
-
-impl Meter for FrameRequest {
-    fn nbytes(&self) -> usize {
-        // Tag byte plus the iteration operands.
-        match self {
-            FrameRequest::Latest => 1,
-            FrameRequest::AtIteration(_) => 1 + 8,
-            FrameRequest::Range { .. } => 1 + 16,
         }
     }
 }
@@ -420,6 +411,32 @@ impl FrameReply {
             .fold(Fidelity::Full, |acc, f| acc.worst(f.fidelity))
     }
 
+    /// Check every frame end to end and count the cache hits: each stream
+    /// must decode, decode to the `(iteration, stager)` it is served as,
+    /// and carry no pixels when it is shipped [`Fidelity::HeaderOnly`].
+    /// Any violation is [`ServeError::Corrupt`].
+    pub fn verify(&self) -> Result<usize, ServeError> {
+        let mut hits = 0;
+        for served in self.frames() {
+            let frame = Frame::decode(&served.stream)?;
+            let key = (served.iteration, served.stager);
+            if (frame.iteration, frame.stager) != key {
+                return Err(ServeError::Corrupt(format!(
+                    "frame served as {key:?} decodes as ({}, {})",
+                    frame.iteration, frame.stager
+                )));
+            }
+            if served.fidelity == Fidelity::HeaderOnly && !frame.pixels.is_empty() {
+                return Err(ServeError::Corrupt(format!(
+                    "header-only frame {key:?} carries {} pixels",
+                    frame.pixels.len()
+                )));
+            }
+            hits += usize::from(served.cache_hit);
+        }
+        Ok(hits)
+    }
+
     /// Serialize to the tagged wire form. The encoded length equals
     /// [`Meter::nbytes`], so a reply costs on the virtual wire exactly
     /// what its bytes occupy on a real one.
@@ -546,9 +563,9 @@ mod tests {
 
     #[test]
     fn request_sizes_scale_with_operands() {
-        assert_eq!(FrameRequest::Latest.nbytes(), 1);
-        assert_eq!(FrameRequest::AtIteration(5).nbytes(), 9);
-        assert_eq!(FrameRequest::Range { start: 1, end: 4 }.nbytes(), 17);
+        assert_eq!(FrameRequest::Latest.encode().len(), 1);
+        assert_eq!(FrameRequest::AtIteration(5).encode().len(), 9);
+        assert_eq!(FrameRequest::Range { start: 1, end: 4 }.encode().len(), 17);
     }
 
     fn served(iteration: u64, fidelity: Fidelity, stream: Vec<u8>) -> ServedFrame {
@@ -616,6 +633,66 @@ mod tests {
         assert!(!FrameReply::NotYet.exact());
         assert!(FrameReply::NotYet.frames().is_empty());
         assert!(!FrameReply::NoSuchIteration(2).exact());
+    }
+
+    /// A reply carrying `frame` encoded, served as `(iteration, stager)`.
+    fn carrying(frame: &Frame, iteration: u64, stager: u32, fidelity: Fidelity) -> FrameReply {
+        FrameReply::Frames {
+            exact: true,
+            frames: vec![ServedFrame {
+                iteration,
+                stager,
+                cache_hit: true,
+                fidelity,
+                stream: frame.encode(apc_store::CodecKind::Raw),
+            }],
+        }
+    }
+
+    #[test]
+    fn verify_counts_cache_hits_of_sound_replies() {
+        let frame = Frame::new(5, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(carrying(&frame, 5, 1, Fidelity::Full).verify().unwrap(), 1);
+        let header = Frame::new(5, 1, 0, 0, Vec::new());
+        assert_eq!(
+            carrying(&header, 5, 1, Fidelity::HeaderOnly)
+                .verify()
+                .unwrap(),
+            1
+        );
+        assert_eq!(FrameReply::NotYet.verify().unwrap(), 0);
+    }
+
+    #[test]
+    fn verify_rejects_a_key_mismatch() {
+        let frame = Frame::new(5, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        for (iteration, stager) in [(6, 1), (5, 0)] {
+            let err = carrying(&frame, iteration, stager, Fidelity::Full)
+                .verify()
+                .unwrap_err();
+            assert!(matches!(err, ServeError::Corrupt(_)), "{err}");
+        }
+    }
+
+    #[test]
+    fn verify_rejects_a_header_only_frame_with_pixels() {
+        let frame = Frame::new(5, 1, 2, 2, vec![1.0, 2.0, 3.0, 4.0]);
+        let err = carrying(&frame, 5, 1, Fidelity::HeaderOnly)
+            .verify()
+            .unwrap_err();
+        match err {
+            ServeError::Corrupt(msg) => assert!(msg.contains("header-only"), "{msg}"),
+            other => panic!("expected Corrupt, got {other}"),
+        }
+    }
+
+    #[test]
+    fn verify_rejects_an_undecodable_stream() {
+        let reply = FrameReply::Frames {
+            exact: true,
+            frames: vec![served(1, Fidelity::Full, vec![1, 2, 3])],
+        };
+        assert!(matches!(reply.verify(), Err(ServeError::Corrupt(_))));
     }
 
     #[test]
@@ -824,7 +901,8 @@ mod tests {
         ];
         for req in cases {
             let wire = req.encode();
-            assert_eq!(wire.len(), req.nbytes(), "{req:?} wire/meter mismatch");
+            // Requests ride the wire as these bytes, metered at their length.
+            assert_eq!(wire.nbytes(), wire.len(), "{req:?} wire/meter mismatch");
             assert_eq!(FrameRequest::decode(&wire).unwrap(), req);
         }
     }

@@ -42,8 +42,13 @@ cargo test -q --test properties -- cached_backend_is_transparent_under_random_tr
 echo "==> replay serving suite (pool routing, stealing, QoS determinism)"
 # Covered by the runs above, but named explicitly: byte-identical replay
 # across exec policies, session reuse, and frame layouts is the PR-9
-# acceptance pin for the standalone replay server pool.
+# acceptance pin for the standalone replay server pool. Both serving
+# executors resolve requests through apc-serve's shared resolver
+# (`resolution` unit tests), and the fig14 golden pins the pool's
+# per-request log bytes.
 cargo test -q -p apc-replay
+cargo test -q -p apc-serve --lib resolution
+cargo test -q -p apc-bench --test golden_reports -- fig14
 cargo test -q --test replay_fanout
 cargo test -q -p apc-comm --test session_stress -- replay_server_death stealing_under_churn
 
@@ -51,9 +56,11 @@ echo "==> adaptive serving suite (budget controller, fidelity ladder, wire tag)"
 # Covered by the runs above, but named explicitly: byte-identical replay
 # of the controller trajectory and fidelity mix across exec policies,
 # repeats and session reuse is the PR-10 acceptance pin for
-# performance-constrained serving.
+# performance-constrained serving. The fig12, fig13 and fig15 goldens pin
+# the staged frames and the live serving logs with the budget off and on.
 cargo test -q -p apc-core --lib -- serving controller stats
 cargo test -q -p apc-serve
+cargo test -q -p apc-bench --test golden_reports -- fig12 fig13 fig15
 cargo test -q --test staged_determinism -- adaptive_serving
 cargo test -q -p apc-comm --test session_stress -- stager_death_mid_degraded_reply
 

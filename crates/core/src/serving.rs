@@ -491,8 +491,8 @@ impl<'a> StagerServe<'a> {
     pub(crate) fn after_frame(&mut self, rank: &mut Rank, k: usize, nframes: usize) {
         debug_assert!(k < nframes);
         for i in 0..self.clients.len() {
-            // A deferred request's due frame exists now, so it resolves
-            // to frames.
+            // Flush the deferred requests whose due frame exists now;
+            // they resolve to frames.
             if let Some((q, _, arrival)) = self.clients[i].deferred.take_if(|d| d.1 <= k) {
                 let res = resolve(q, self.slot, self.serve.policy, self.iterations, k + 1);
                 self.answer(rank, i, &res, arrival);

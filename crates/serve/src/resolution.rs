@@ -102,11 +102,6 @@ impl Resolution {
         }
     }
 
-    /// Whether the answer is exactly what was asked.
-    pub fn exact(&self) -> bool {
-        matches!(self, Resolution::Frames { exact: true, .. })
-    }
-
     /// Assemble the reply: `fetch(key)` yields each frame's encoded stream
     /// and whether it was a cache hit (the executor charges its own read
     /// cost there), and every stream ships at `fidelity` —
@@ -173,6 +168,13 @@ mod tests {
         FrameRequest::Range { start, end }
     }
 
+    fn exact(keys: &[FrameKey]) -> Resolution {
+        Resolution::Frames {
+            exact: true,
+            keys: keys.to_vec(),
+        }
+    }
+
     fn inexact(keys: &[FrameKey]) -> Resolution {
         Resolution::Frames {
             exact: false,
@@ -187,17 +189,14 @@ mod tests {
     fn latest_is_exact_for_both_tiers() {
         for policy in [WAIT, BEST] {
             let r = resolve(FrameRequest::Latest, 2, policy, ITERS, 4);
-            assert_eq!(r.keys(), &[(400, 2)]);
-            assert!(r.exact());
+            assert_eq!(r, exact(&[(400, 2)]));
         }
     }
 
     #[test]
     fn in_run_iteration_is_exact_for_both_tiers() {
         for policy in [WAIT, BEST] {
-            let r = resolve(at(200), 0, policy, ITERS, 4);
-            assert_eq!(r.keys(), &[(200, 0)]);
-            assert!(r.exact());
+            assert_eq!(resolve(at(200), 0, policy, ITERS, 4), exact(&[(200, 0)]));
         }
     }
 
@@ -225,9 +224,10 @@ mod tests {
 
     #[test]
     fn ranges_clip_to_the_run() {
-        let r = resolve(range(150, 350), 0, WAIT, ITERS, 4);
-        assert_eq!(r.keys(), &[(200, 0), (300, 0)]);
-        assert!(r.exact());
+        assert_eq!(
+            resolve(range(150, 350), 0, WAIT, ITERS, 4),
+            exact(&[(200, 0), (300, 0)])
+        );
         // Empty intersection follows the policy split.
         assert_eq!(
             resolve(range(500, 600), 0, WAIT, ITERS, 4),
@@ -242,16 +242,15 @@ mod tests {
     fn latest_is_the_newest_produced_frame() {
         for policy in [WAIT, BEST] {
             let r = resolve(FrameRequest::Latest, 1, policy, ITERS, 2);
-            assert_eq!(r.keys(), &[(200, 1)]);
-            assert!(r.exact());
+            assert_eq!(r, exact(&[(200, 1)]));
         }
     }
 
     #[test]
     fn unproduced_iteration_defers_or_substitutes() {
         // Produced frames are exact under either policy.
-        assert_eq!(resolve(at(100), 0, WAIT, ITERS, 2).keys(), &[(100, 0)]);
-        assert!(resolve(at(200), 0, BEST, ITERS, 2).exact());
+        assert_eq!(resolve(at(100), 0, WAIT, ITERS, 2), exact(&[(100, 0)]));
+        assert_eq!(resolve(at(200), 0, BEST, ITERS, 2), exact(&[(200, 0)]));
         // WaitForFrame holds the reply until the frame's index exists.
         assert_eq!(resolve(at(400), 0, WAIT, ITERS, 2), Resolution::Defer(3));
         // BestEffort substitutes the newest produced frame, inexact.
@@ -270,9 +269,10 @@ mod tests {
             inexact(&[(100, 3), (200, 3)])
         );
         // A fully produced range is exact.
-        let r = resolve(range(100, 200), 0, WAIT, ITERS, 2);
-        assert_eq!(r.keys(), &[(100, 0), (200, 0)]);
-        assert!(r.exact());
+        assert_eq!(
+            resolve(range(100, 200), 0, WAIT, ITERS, 2),
+            exact(&[(100, 0), (200, 0)])
+        );
     }
 
     #[test]
@@ -324,10 +324,7 @@ mod tests {
     }
 
     fn two_frames() -> Resolution {
-        Resolution::Frames {
-            exact: true,
-            keys: vec![(100, 1), (200, 1)],
-        }
+        exact(&[(100, 1), (200, 1)])
     }
 
     #[test]

@@ -117,8 +117,9 @@ fn block_set() -> (Vec<Block>, RectilinearCoords) {
     (blocks, dataset.coords().clone())
 }
 
-/// One paper-scaled block near the storm center: dense, noisy content.
-fn storm_block() -> (Vec<f32>, Dims3) {
+/// The paper-scaled dataset, a sampled iteration and the block near the
+/// storm center at that iteration.
+fn storm_site() -> (ReflectivityDataset, usize, u32) {
     let dataset = ReflectivityDataset::paper_scaled(64, 7).expect("dataset");
     let it = dataset.sample_iterations(3)[1];
     let storm_center = dataset.storm().center(dataset.storm().tau(it));
@@ -126,9 +127,22 @@ fn storm_block() -> (Vec<f32>, Dims3) {
     let bi = (storm_center[0] * gb.nx as f32) as usize;
     let bj = (storm_center[1] * gb.ny as f32) as usize;
     let id = dataset.decomp().block_id_at((bi, bj, 1));
+    (dataset, it, id)
+}
+
+/// One paper-scaled block near the storm center: dense, noisy content.
+fn storm_block() -> (Vec<f32>, Dims3) {
+    let (dataset, it, id) = storm_site();
     let block = dataset.block(it, id);
     let dims = block.dims();
     (block.samples().into_owned(), dims)
+}
+
+/// Every block of the rank that owns [`storm_block`]: storm core and its
+/// surroundings, the batch one rank's chunk codec handles per iteration.
+fn storm_rank_blocks() -> Vec<Block> {
+    let (dataset, it, id) = storm_site();
+    dataset.rank_blocks(it, dataset.decomp().owner_of_block(id))
 }
 
 fn bench_exec_policies(rec: &mut Recorder) {
@@ -631,27 +645,77 @@ fn bench_codecs(rec: &mut Recorder) {
     let shape = (dims.nx, dims.ny, dims.nz);
     let bytes = (data.len() * 4) as f64;
     let mut rows = Vec::new();
-    let mut row = |name: &str, t: f64| {
+    let mut row = |name: &str, blocks: usize, bytes: f64, t: f64| {
         rec.wall(&format!("codec/{name}"), t);
         rows.push(vec![
             name.to_string(),
-            format!("{:.2}", t * 1e6),
+            format!("{:.2}", t * 1e6 / blocks as f64),
             format!("{:.1}", bytes / t / 1e6),
         ]);
     };
-    row("fpz_encode", time_median(9, || Fpz.encode(&data, shape)));
+    row(
+        "fpz_encode",
+        1,
+        bytes,
+        time_median(9, || Fpz.encode(&data, shape)),
+    );
     row(
         "zfpx_encode",
+        1,
+        bytes,
         time_median(9, || Zfpx::default().encode(&data, shape)),
     );
-    row("lz77_encode", time_median(9, || Lz77.encode(&data, shape)));
+    row(
+        "lz77_encode",
+        1,
+        bytes,
+        time_median(9, || Lz77.encode(&data, shape)),
+    );
     let enc = Fpz.encode(&data, shape);
     row(
         "fpz_decode",
+        1,
+        bytes,
         time_median(9, || Fpz.decode(&enc, shape).unwrap()),
     );
+    // One rank's blocks per timed body: a single block takes tens of
+    // microseconds, too short for the gate to tell a regression from noise.
+    let rank: Vec<(Vec<f32>, (usize, usize, usize))> = storm_rank_blocks()
+        .iter()
+        .map(|b| {
+            let d = b.dims();
+            (b.samples().into_owned(), (d.nx, d.ny, d.nz))
+        })
+        .collect();
+    let rank_bytes = rank.iter().map(|(d, _)| d.len() * 4).sum::<usize>() as f64;
+    let rank_enc: Vec<Vec<u8>> = rank.iter().map(|(d, s)| Fpz.encode(d, *s)).collect();
+    row(
+        "fpz_encode_rank",
+        rank.len(),
+        rank_bytes,
+        time_median(9, || {
+            rank.iter()
+                .map(|(d, s)| Fpz.encode(d, *s).len())
+                .sum::<usize>()
+        }),
+    );
+    row(
+        "fpz_decode_rank",
+        rank.len(),
+        rank_bytes,
+        time_median(9, || {
+            rank_enc
+                .iter()
+                .zip(&rank)
+                .map(|(e, (_, s))| Fpz.decode(e, *s).unwrap().len())
+                .sum::<usize>()
+        }),
+    );
     print_table(
-        "codecs (one storm block)",
+        &format!(
+            "codecs (one storm block; *_rank: its rank's {} blocks)",
+            rank.len()
+        ),
         &["codec", "us/block", "MB/s"],
         &rows,
     );

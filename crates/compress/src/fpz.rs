@@ -52,34 +52,68 @@ fn unzigzag(m: u32) -> i32 {
     ((m >> 1) as i32) ^ -((m & 1) as i32)
 }
 
-/// 3D Lorenzo predictor over the ordered-integer field.
-struct Lorenzo<'a> {
-    data: &'a [u32],
-    nx: usize,
-    ny: usize,
-}
-
-impl<'a> Lorenzo<'a> {
-    #[inline]
-    fn at(&self, i: isize, j: isize, k: isize) -> u32 {
-        if i < 0 || j < 0 || k < 0 {
+/// 3D Lorenzo prediction for a sample on the low boundary (`i`, `j` or
+/// `k` is 0): neighbours outside the array count as zero.
+fn edge_predict(data: &[u32], (nx, ny): (usize, usize), i: usize, j: usize, k: usize) -> u32 {
+    let at = |di: usize, dj: usize, dk: usize| {
+        if i < di || j < dj || k < dk {
             return 0;
         }
-        self.data[i as usize + self.nx * (j as usize + self.ny * k as usize)]
-    }
+        data[i - di + nx * (j - dj + ny * (k - dk))]
+    };
+    at(1, 0, 0)
+        .wrapping_add(at(0, 1, 0))
+        .wrapping_add(at(0, 0, 1))
+        .wrapping_sub(at(1, 1, 0))
+        .wrapping_sub(at(1, 0, 1))
+        .wrapping_sub(at(0, 1, 1))
+        .wrapping_add(at(1, 1, 1))
+}
 
-    /// Prediction for point `(i, j, k)` from its causal corner neighbors.
-    #[inline]
-    fn predict(&self, i: usize, j: usize, k: usize) -> u32 {
-        let (i, j, k) = (i as isize, j as isize, k as isize);
-        self.at(i - 1, j, k)
-            .wrapping_add(self.at(i, j - 1, k))
-            .wrapping_add(self.at(i, j, k - 1))
-            .wrapping_sub(self.at(i - 1, j - 1, k))
-            .wrapping_sub(self.at(i - 1, j, k - 1))
-            .wrapping_sub(self.at(i, j - 1, k - 1))
-            .wrapping_add(self.at(i - 1, j - 1, k - 1))
+/// Visit the field in x-fastest order with each sample's Lorenzo prediction
+/// (the inclusion–exclusion sum of its 7 causal corner neighbours);
+/// `step(prediction, stored)` returns the value to store. Interior rows
+/// (`j, k > 0`) read their causal rows as slices: fixed offsets, no branch.
+fn lorenzo_scan<E>(
+    data: &mut [u32],
+    (nx, ny, nz): Shape,
+    mut step: impl FnMut(u32, u32) -> Result<u32, E>,
+) -> Result<(), E> {
+    if data.is_empty() {
+        return Ok(());
     }
+    let (sy, sz) = (nx, nx * ny);
+    for k in 0..nz {
+        for j in 0..ny {
+            let row = nx * (j + ny * k);
+            if j == 0 || k == 0 {
+                for i in 0..nx {
+                    let pred = edge_predict(data, (nx, ny), i, j, k);
+                    data[row + i] = step(pred, data[row + i])?;
+                }
+                continue;
+            }
+            let (done, rest) = data.split_at_mut(row);
+            let cur = &mut rest[..nx];
+            let y = &done[row - sy..][..nx];
+            let z = &done[row - sz..][..nx];
+            let yz = &done[row - sy - sz..][..nx];
+            let mut left = step(y[0].wrapping_add(z[0]).wrapping_sub(yz[0]), cur[0])?;
+            cur[0] = left;
+            for i in 1..nx {
+                let pred = left
+                    .wrapping_add(y[i])
+                    .wrapping_sub(y[i - 1])
+                    .wrapping_add(z[i])
+                    .wrapping_sub(z[i - 1])
+                    .wrapping_sub(yz[i])
+                    .wrapping_add(yz[i - 1]);
+                left = step(pred, cur[i])?;
+                cur[i] = left;
+            }
+        }
+    }
+    Ok(())
 }
 
 /// The fpzip-like codec. Stateless; the default instance is what the FPZIP
@@ -95,70 +129,49 @@ impl FloatCodec for Fpz {
     fn encode(&self, data: &[f32], shape: Shape) -> Vec<u8> {
         let (nx, ny, nz) = shape;
         assert_eq!(data.len(), nx * ny * nz, "shape/data mismatch");
-        let ordered: Vec<u32> = data.iter().map(|&v| float_to_ordered(v)).collect();
-        let ctx = Lorenzo {
-            data: &ordered,
-            nx,
-            ny,
-        };
+        let mut ordered: Vec<u32> = data.iter().map(|&v| float_to_ordered(v)).collect();
         let mut w = BitWriter::new();
-        let mut idx = 0;
         let mut prev_nbits = 0i32;
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let pred = ctx.predict(i, j, k);
-                    let residual = ordered[idx].wrapping_sub(pred) as i32;
-                    let m = zigzag(residual);
-                    let nbits = (32 - m.leading_zeros()) as i32;
-                    // Counts are locally stable: delta-code them in unary.
-                    w.write_unary(zigzag(nbits - prev_nbits));
-                    prev_nbits = nbits;
-                    if nbits > 1 {
-                        // The MSB of an nbits-wide value is always 1; skip it.
-                        w.write_bits((m & !(1 << (nbits - 1))) as u64, nbits as u32 - 1);
-                    }
-                    idx += 1;
-                }
+        let Ok(()) = lorenzo_scan(&mut ordered, shape, |pred, value| {
+            let m = zigzag(value.wrapping_sub(pred) as i32);
+            let nbits = (32 - m.leading_zeros()) as i32;
+            // Counts are locally stable: delta-code them in unary.
+            w.write_unary(zigzag(nbits - prev_nbits));
+            prev_nbits = nbits;
+            if nbits > 1 {
+                // The MSB of an nbits-wide value is always 1; skip it.
+                w.write_bits((m & !(1 << (nbits - 1))) as u64, nbits as u32 - 1);
             }
-        }
+            Ok::<_, std::convert::Infallible>(value)
+        });
         w.into_bytes()
     }
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
         let (nx, ny, nz) = shape;
-        let n = nx * ny * nz;
+        // Every sample costs at least its unary terminator bit: refuse a
+        // shape the stream cannot cover before allocating for it.
+        let n = nx
+            .checked_mul(ny)
+            .and_then(|n| n.checked_mul(nz))
+            .filter(|&n| n <= stream.len().saturating_mul(8))
+            .ok_or(CodecError::Corrupt("stream holds fewer bits than samples"))?;
         let mut r = BitReader::new(stream);
         let mut ordered = vec![0u32; n];
-        let mut idx = 0;
         let mut prev_nbits = 0i32;
-        for k in 0..nz {
-            for j in 0..ny {
-                for i in 0..nx {
-                    let delta = unzigzag(r.read_unary()?);
-                    let nbits_i = prev_nbits + delta;
-                    if !(0..=32).contains(&nbits_i) {
-                        return Err(CodecError::Corrupt("residual width out of range"));
-                    }
-                    prev_nbits = nbits_i;
-                    let nbits = nbits_i as u32;
-                    let m = match nbits {
-                        0 => 0u32,
-                        1 => 1u32,
-                        _ => (r.read_bits(nbits - 1)? as u32) | (1 << (nbits - 1)),
-                    };
-                    let residual = unzigzag(m);
-                    let pred = Lorenzo {
-                        data: &ordered,
-                        nx,
-                        ny,
-                    }
-                    .predict(i, j, k);
-                    ordered[idx] = pred.wrapping_add(residual as u32);
-                    idx += 1;
-                }
+        lorenzo_scan(&mut ordered, shape, |pred, _| {
+            let nbits = prev_nbits.saturating_add(unzigzag(r.read_unary()?));
+            if !(0..=32).contains(&nbits) {
+                return Err(CodecError::Corrupt("residual width out of range"));
             }
-        }
+            prev_nbits = nbits;
+            let m = match nbits {
+                0 => 0u32,
+                1 => 1u32,
+                _ => (r.read_bits(nbits as u32 - 1)? as u32) | (1 << (nbits - 1)),
+            };
+            Ok(pred.wrapping_add(unzigzag(m) as u32))
+        })?;
         Ok(ordered.into_iter().map(ordered_to_float).collect())
     }
 
@@ -257,6 +270,17 @@ mod tests {
             ratio < 0.1,
             "constant block ratio should be tiny, got {ratio}"
         );
+    }
+
+    #[test]
+    fn shape_beyond_the_stream_is_refused() {
+        let enc = Fpz.encode(&[1.0; 8], (2, 2, 2));
+        for shape in [(16384, 16384, 1), (usize::MAX, 2, 1)] {
+            assert_eq!(
+                Fpz.decode(&enc, shape),
+                Err(CodecError::Corrupt("stream holds fewer bits than samples"))
+            );
+        }
     }
 
     #[test]

@@ -313,11 +313,16 @@ impl FloatCodec for Zfpx {
 
     fn decode(&self, stream: &[u8], shape: Shape) -> Result<Vec<f32>, CodecError> {
         let (nx, ny, nz) = shape;
-        let mut out = vec![0.0f32; nx * ny * nz];
-        let mut r = BitReader::new(stream);
         let bx = nx.div_ceil(4);
         let by = ny.div_ceil(4);
         let bz = nz.div_ceil(4);
+        // Every block costs at least its flag bit: check before allocating.
+        let blocks = bx.checked_mul(by).and_then(|b| b.checked_mul(bz));
+        if blocks.is_none_or(|b| b > stream.len().saturating_mul(8)) {
+            return Err(CodecError::Corrupt("stream holds fewer bits than blocks"));
+        }
+        let mut out = vec![0.0f32; nx * ny * nz];
+        let mut r = BitReader::new(stream);
         for kb in 0..bz {
             for jb in 0..by {
                 for ib in 0..bx {
@@ -466,6 +471,17 @@ mod tests {
             Zfpx::graded_tolerance(100.0)
         );
         assert_eq!(Zfpx::graded(30.0).tolerance, Zfpx::graded_tolerance(30.0));
+    }
+
+    #[test]
+    fn shape_beyond_the_stream_is_refused() {
+        let enc = Zfpx::default().encode(&[1.0; 64], (4, 4, 4));
+        for shape in [(4096, 4096, 1), (usize::MAX, usize::MAX, 4)] {
+            assert_eq!(
+                Zfpx::default().decode(&enc, shape),
+                Err(CodecError::Corrupt("stream holds fewer bits than blocks"))
+            );
+        }
     }
 
     #[test]

@@ -225,6 +225,25 @@ mod tests {
         assert!(matches!(Frame::decode(&enc), Err(ServeError::Corrupt(_))));
     }
 
+    /// A damaged header may claim up to the 2^28-pixel cap. The chunk
+    /// decoder refuses a shape its stream cannot cover before it allocates
+    /// the pixel buffer, instead of failing on underrun after a 1 GiB
+    /// allocation.
+    #[test]
+    fn oversized_header_over_short_chunk_is_corrupt() {
+        for codec in [CodecKind::Fpz, CodecKind::Zfpx { tolerance: 0.01 }] {
+            let mut enc = sample().encode(codec);
+            enc[13..17].copy_from_slice(&16384u32.to_le_bytes());
+            enc[17..21].copy_from_slice(&16384u32.to_le_bytes());
+            match Frame::decode(&enc) {
+                Err(ServeError::Corrupt(what)) => {
+                    assert!(what.contains("fewer bits than"), "{}: {what}", codec.name())
+                }
+                other => panic!("{}: expected Corrupt, got {other:?}", codec.name()),
+            }
+        }
+    }
+
     #[test]
     #[should_panic(expected = "pixel count must match")]
     fn wrong_pixel_count_rejected() {

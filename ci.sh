@@ -26,6 +26,13 @@ cargo test -q
 echo "==> cargo test --workspace -q (every crate's suite)"
 cargo test --workspace -q
 
+echo "==> codec suite (bit I/O units, stream pins, adversarial inputs, properties)"
+# Covered by the workspace run above, but named explicitly: the stream
+# pins (tests/stream_pins.rs) guard the on-disk chunk format and the wire
+# frame format. Fpz and Zfpx bytes, and what damaged streams decode to,
+# must not change unless that is the intent of the change.
+cargo test -q -p apc-compress
+
 echo "==> shard container suite (partial reads + adversarial inputs)"
 # Covered by the workspace run above, but named explicitly so a failure
 # in the shard layer is impossible to miss in the CI log.
